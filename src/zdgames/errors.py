@@ -32,7 +32,7 @@ class DegenerateDenominator(ZDGamesError):
 
 
 class NoFeasiblePin(ZDGamesError):
-    """No coefficient scale on the search grid produced a feasible pin."""
+    """The target score lies outside the window the pinner can enforce."""
 
 
 class DegenerateRatio(ZDGamesError):

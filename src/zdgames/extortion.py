@@ -5,13 +5,18 @@ extortionate player demands
 
     pi_alpha - a_nn = lam * (pi_beta - a_nn),    lam >= 1.
 
-Whether a factor lam is admissible reduces to sign conditions on the
-brackets E_ij = (a_ij - a_nn) - lam * (a_ji - a_nn): the first-row family
-needs E_1j <= 0 (those brackets sit on top of probability 1 and must not
-push entries above 1), while rows i >= 2 need E_ij >= 0 (they are bare
-probabilities).  Each bracket is affine in lam, so the admissible set is an
-interval, and for a fixed admissible lam every strategy entry is affine in
-the scale theta, giving a closed-form largest feasible theta.
+In alpha-major state order, with u = omega_alpha - a_nn and
+w = omega_beta - a_nn, the extortioner's first components are
+
+    p1 = delta + theta * g,    g = u - lam * w,
+
+where delta is 1 on the first row and 0 elsewhere, so g_ij is the bracket
+E_ij = (a_ij - a_nn) - lam * (a_ji - a_nn).  The entries stay in [0, 1] for
+small theta > 0 exactly when E_1j <= 0 on the first row and E_ij >= 0 on
+the others; the states that fail are the violated conditions.  Each
+bracket is affine in lam, so the admissible factors form an interval, and
+for an admissible lam the largest feasible theta is the closed-form t_max
+of :func:`zdgames.zd._feasible_scale`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zd import _synthesis_result
+from .model import flatten_payoffs, own_move_one_indicator
+from .zd import _feasible_scale, _synthesis_result
 
 CONDITION_TOL = 1e-12
 
@@ -68,11 +74,12 @@ class FactorBounds:
 class ConditionReport:
     """Admissibility verdict with the violated condition ids.
 
-    Ids are (family, i, j) triples naming the bracket E_ij that failed;
-    family is "first-row" (E_1j <= 0), "interior" (rows 2..n-1, E_ij >= 0)
-    or "last-row" (E_nj >= 0, j < n).  An "interior" violation at i == j
-    means the diagonal payoff a_ii exceeds a_nn, which rules out every
-    lam > 1 on its own.
+    Ids are (family, i, j) triples naming the bracket E_ij that failed, in
+    alpha-major state order; family is "first-row" (E_1j <= 0), "interior"
+    (rows 2..n-1, E_ij >= 0) or "last-row" (E_nj >= 0, j < n).  An
+    "interior" violation at i == j means the diagonal payoff a_ii exceeds
+    a_nn, which rules out every lam > 1 on its own; a "first-row" violation
+    at (1, 1) means lam < 1.
     """
 
     ok: bool
@@ -94,138 +101,93 @@ def _require_normalized(A):
         )
 
 
-def _conditions(A, lam):
-    """Yield (condition id, bracket value, required sign) for all families."""
-    n = A.shape[0]
-    nn = A[-1, -1]
+def _extortion_vectors(game):
+    """delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, alpha-major."""
+    nn = game.A[-1, -1]
+    u = flatten_payoffs(game, "alpha").entries - nn
+    w = flatten_payoffs(game, "beta").entries - nn
+    return own_move_one_indicator("alpha", game.n, game.n), u, w
 
-    def bracket(i, j):
-        return (A[i - 1, j - 1] - nn) - lam * (A[j - 1, i - 1] - nn)
 
-    for j in range(2, n + 1):
-        yield (FIRST_ROW, 1, j), bracket(1, j), -1
-    for i in range(2, n):
-        for j in range(1, n + 1):
-            yield (INTERIOR, i, j), bracket(i, j), +1
-    for j in range(1, n):
-        yield (LAST_ROW, n, j), bracket(n, j), +1
+def _extortion_scale(game, lam):
+    """theta_max and the violated condition ids for the factor ``lam``."""
+    _require_normalized(_require_symmetric(game))
+    delta, u, w = _extortion_vectors(game)
+    limit, blocking = _feasible_scale(delta, u - lam * w)
+    violated = []
+    for s in blocking:
+        i, j = divmod(s, game.n)
+        family = FIRST_ROW if i == 0 else LAST_ROW if i == game.n - 1 else INTERIOR
+        violated.append((family, i + 1, j + 1))
+    return limit, tuple(violated)
 
 
 def check_extortion_factor(game, lam):
     """Evaluate all admissibility conditions for the factor ``lam``."""
-    A = _require_symmetric(game)
-    _require_normalized(A)
-    violated = []
-    for cond_id, value, sign in _conditions(A, lam):
-        if sign < 0:
-            if value > CONDITION_TOL:
-                violated.append(cond_id)
-        elif value < -CONDITION_TOL:
-            violated.append(cond_id)
-    return ConditionReport(not violated, tuple(violated))
+    _, violated = _extortion_scale(game, lam)
+    return ConditionReport(not violated, violated)
 
 
 def extortion_factor_bounds(game):
     """Intersect the affine-in-lam conditions with [1, inf).
 
-    Each bracket u - lam*w (u = a_ij - a_nn, w = a_ji - a_nn) contributes a
-    half-line of admissible lam; a zero w with the wrong-signed u rules out
-    every factor.
+    With the sign flipped on the first row, every state needs
+    U - lam*W >= 0 (U, W = +-u, +-w), a half-line of admissible lam; a zero
+    W with U below -CONDITION_TOL times the payoff spread rules out every
+    factor.
     """
     A = _require_symmetric(game)
     _require_normalized(A)
-    lo = 1.0
-    hi = math.inf
-    dead = False
-    for (_, i, j), _, sign in _conditions(A, 0.0):
-        u = A[i - 1, j - 1] - A[-1, -1]
-        w = A[j - 1, i - 1] - A[-1, -1]
-        if sign < 0:
-            # u - lam*w <= 0
-            if w > 0.0:
-                lo = max(lo, u / w)
-            elif w < 0.0:
-                hi = min(hi, u / w)
-            elif u > CONDITION_TOL:
-                dead = True
-        else:
-            # u - lam*w >= 0
-            if w > 0.0:
-                hi = min(hi, u / w)
-            elif w < 0.0:
-                lo = max(lo, u / w)
-            elif u < -CONDITION_TOL:
-                dead = True
-    feasible = not dead and lo <= hi + CONDITION_TOL
-    return FactorBounds(float(lo), float(hi), bool(feasible))
+    delta, u, w = _extortion_vectors(game)
+    sign = 1.0 - 2.0 * delta
+    U, W = sign * u, sign * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = U / W
+    lo = float(ratio[W < 0.0].max(initial=1.0))
+    hi = float(ratio[W > 0.0].min(initial=math.inf))
+    dead = bool(((W == 0.0) & (U < -CONDITION_TOL * np.ptp(A))).any())
+    return FactorBounds(lo, hi, not dead and lo <= hi + CONDITION_TOL)
 
 
 def extortion_strategy(game, params):
-    """First components of the extortionate strategy, entry by entry.
+    """First components delta + theta*g of the extortionate strategy.
 
-    Built directly from the bracket formulas (p1[s(1,1)] = 1 - theta*(lam-1)
-    *(a_11 - a_nn), first-row entries 1 + theta*E_1j, remaining entries
-    theta*E_ij, and p1[s(n,n)] = 0) rather than through the coefficient
-    route, so the two constructions can be checked against each other.
+    g holds the brackets E_ij directly (see the module docstring) rather
+    than going through :func:`zdgames.zd.extortion_coefficients`, so the two
+    constructions can be checked against each other.
     """
     A = _require_symmetric(game)
-    n = game.n
     nn = A[-1, -1]
     if params.delta is not None and params.delta != nn:
         raise ValueError(
             f"offset is fixed to a_nn={nn} here; synthesize via extortion_coefficients "
             f"for delta={params.delta}"
         )
-    lam, theta = params.lam, params.theta
-    p1 = np.empty(n * n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            bracket = (A[i - 1, j - 1] - nn) - lam * (A[j - 1, i - 1] - nn)
-            s = (i - 1) * n + (j - 1)
-            if i == 1 and j == 1:
-                p1[s] = 1.0 - theta * (lam - 1.0) * (A[0, 0] - nn)
-            elif i == 1:
-                p1[s] = 1.0 + theta * bracket
-            elif i == n and j == n:
-                p1[s] = 0.0
-            else:
-                p1[s] = theta * bracket
-    return _synthesis_result("alpha", n, n, p1)
+    delta, u, w = _extortion_vectors(game)
+    g = u - params.lam * w
+    return _synthesis_result("alpha", game.n, game.n, delta + params.theta * g)
 
 
 def theta_max(game, lam):
     """Largest scale theta keeping every strategy entry inside [0, 1].
 
-    Each entry is affine in theta, so the bound is the minimum over binding
-    constraints: the (1,1) entry binds at 1/((lam-1)*(a_11 - a_nn)), a
-    negative first-row bracket E at 1/(-E), and a positive bracket in rows
-    i >= 2 at 1/E.  Returns ``math.inf`` when nothing binds.
+    The entries are delta + theta*g with g = u - lam*w, so this is the
+    closed form min over states of 1/(-g) on the first row (where g < 0)
+    and 1/g elsewhere (where g > 0): 1/((lam-1)*(a_11 - a_nn)) from the
+    (1,1) entry up to rounding, 1/(-E_1j) and 1/E_ij from the brackets.
+    Returns ``math.inf`` when nothing binds.
 
     Raises
     ------
     ValueError
         If ``lam`` is not admissible for the game.
     """
-    report = check_extortion_factor(game, lam)
-    if not report.ok:
+    limit, violated = _extortion_scale(game, lam)
+    if violated:
         raise ValueError(
-            f"factor {lam} is not admissible ({len(report.violated)} conditions fail)"
+            f"factor {lam} is not admissible ({len(violated)} conditions fail)"
         )
-    A = game.A
-    nn = A[-1, -1]
-    bounds = []
-    g11 = (lam - 1.0) * (A[0, 0] - nn)
-    if g11 < -CONDITION_TOL:
-        return 0.0
-    if g11 > CONDITION_TOL:
-        bounds.append(1.0 / g11)
-    for (family, _, _), value, _ in _conditions(A, lam):
-        if family == FIRST_ROW:
-            if value < -CONDITION_TOL:
-                bounds.append(1.0 / -value)
-        elif value > CONDITION_TOL:
-            bounds.append(1.0 / value)
-    return float(min(bounds, default=math.inf))
+    return limit
 
 
 def chicken_extortion(r, lam, theta):

@@ -38,9 +38,7 @@ from .model import (
 
 FEASIBILITY_TOL = 1e-12
 DENOMINATOR_RTOL = 1e-12
-
-# |coefficient scale| grid for pin searches: 2^4 down to 2^-20
-_PIN_GRID = tuple(2.0 ** k for k in range(4, -21, -1))
+SCALE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,24 @@ def _synthesis_result(player, n, m, raw):
     feasible = not violations
     p1 = np.clip(raw, 0.0, 1.0) if feasible else raw
     return SynthesisResult(player, n, m, _readonly(p1), feasible, violations)
+
+
+def _feasible_scale(delta, g):
+    """Largest t >= 0 keeping delta + t*g inside [0, 1], and the blocking states.
+
+    Each state bounds t by (1 - delta)/g where g > 0 and by delta/(-g) where
+    g < 0, so the feasible scales are [0, t_max].  A state blocks when its
+    bound is 0 (g pushes delta straight out of the box); t_max is then 0.
+    Entries of g below SCALE_RTOL * max|g| count as zero, which makes the
+    answer independent of the payoff scale; g == 0 gives ``math.inf``.  Pass
+    -g for the negative direction.
+    """
+    tol = SCALE_RTOL * np.abs(g).max(initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limits = np.where(g < -tol, delta / -g, math.inf)
+        limits = np.where(g > tol, (1.0 - delta) / g, limits)
+    blocking = tuple(np.flatnonzero(limits == 0.0).tolist())
+    return float(limits.min(initial=math.inf)), blocking
 
 
 def _zd_matrix(p, q, f=None):
@@ -184,40 +200,43 @@ def synthesize_zd_beta(game, coeffs):
     return _synthesize(game, coeffs, "beta")
 
 
-def pin_opponent_score(game, pinner, target, scale_grid=None):
-    """Find coefficients with which ``pinner`` fixes the opponent's score.
+def pin_opponent_score(game, pinner, target):
+    """Coefficients with which ``pinner`` fixes the opponent's score at ``target``.
 
-    Scans coefficient magnitudes over a geometric grid (default 2^4 down to
-    2^-20, positive sign first) for the single free coefficient: alpha pins
-    beta with (0, b, -b*target), beta pins alpha with (a, 0, -a*target).
-    Returns the first feasible synthesis together with its coefficients.
+    Alpha pins beta with (0, w, -w*target) and beta pins alpha with
+    (w, 0, -w*target), so the first components are delta + w*g with
+    g = omega_opponent - target, and the feasible weights form the closed
+    interval [-t_neg, t_pos] given by :func:`_feasible_scale`.  The weight is
+    the largest power of two up to min(16, max(t_pos, t_neg)), positive when
+    it fits under t_pos; a power of two keeps c = -w*target exact.
 
     Raises
     ------
     NoFeasiblePin
-        When no grid point is feasible, which signals a target outside the
-        pinnable range of the game.
+        When both t_pos and t_neg are 0, i.e. the target lies outside the
+        window the pinner can enforce.
     """
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
-    if scale_grid is None:
-        scale_grid = _PIN_GRID
-    synthesize = synthesize_zd_alpha if pinner == "alpha" else synthesize_zd_beta
-    for magnitude in scale_grid:
-        for sign in (1.0, -1.0):
-            weight = sign * magnitude
-            if pinner == "alpha":
-                coeffs = ZDCoefficients(0.0, weight, -weight * target)
-            elif pinner == "beta":
-                coeffs = ZDCoefficients(weight, 0.0, -weight * target)
-            else:
-                raise ValueError(f"pinner must be 'alpha' or 'beta', got {pinner!r}")
-            result = synthesize(game, coeffs)
-            if result.feasible:
-                return result, coeffs
+    delta = own_move_one_indicator(pinner, game.n, game.m)
+    opponent = "beta" if pinner == "alpha" else "alpha"
+    g = flatten_payoffs(game, opponent).entries - target
+    t_pos = _feasible_scale(delta, g)[0]
+    t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)[0]))
+    if t_max > 0.0:
+        weight = math.ldexp(0.5, math.frexp(t_max)[1])
+        if weight > t_pos:
+            weight = -weight
+        if pinner == "alpha":
+            coeffs = ZDCoefficients(0.0, weight, -weight * target)
+        else:
+            coeffs = ZDCoefficients(weight, 0.0, -weight * target)
+        result = _synthesize(game, coeffs, pinner)
+        if result.feasible:
+            return result, coeffs
     raise NoFeasiblePin(
-        f"no feasible pin of the opponent's score at {target} "
-        f"(scanned {len(scale_grid)} magnitudes, both signs)"
+        f"no feasible pin of the opponent's score at {target!r}: "
+        "it lies outside the window the pinner can enforce"
     )
 
 

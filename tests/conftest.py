@@ -2,6 +2,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw a fixed, bounded set of examples: tier-1 runs stay
+# reproducible and write no example database
+settings.register_profile(
+    "zdgames", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("zdgames")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ strictly positive, hence ergodic with a unique stationary vector.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from zdgames import (
     ZDCoefficients,
@@ -17,6 +18,21 @@ from zdgames import (
     make_symmetric,
     theta_max,
 )
+
+
+# payoff rescalings and shifts under which feasibility verdicts must not move
+SCALES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+SHIFTS = st.floats(-100.0, 100.0)
+
+
+def payoff_grid(n, m):
+    """Hypothesis strategy for an n x m matrix of small integer payoffs.
+
+    Integer payoffs make exact ties (brackets and pin offsets that vanish)
+    common, which is where a scale-dependent tolerance would show.
+    """
+    cells = st.lists(st.integers(-5, 5), min_size=n * m, max_size=n * m)
+    return cells.map(lambda xs: np.array(xs, dtype=float).reshape(n, m))
 
 
 def rand_strategy(rng, player, n, m):

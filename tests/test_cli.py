@@ -195,6 +195,15 @@ class TestPin:
         assert main(["pin", pd_path, "--target", "10"]) == 1
         assert "no feasible pin" in capsys.readouterr().err
 
+    def test_large_payoff_scale(self, tmp_path, capsys):
+        path = tmp_path / "pd_1e6.json"
+        path.write_text('{"n": 2, "m": 2, "A": [[3e6, 0], [5e6, 1e6]]}', encoding="utf-8")
+        report = str(tmp_path / "pin.csv")
+        code = main(["pin", str(path), "--target", "2e6", "--opponents", "25",
+                     "--report", report])
+        assert code == 0
+        assert max(float(row["deviation"]) for row in read_rows(report)) < 1e-9 * 1e6
+
 
 class TestSimulate:
     def test_reproducible_csv(self, tmp_path, chicken_path):

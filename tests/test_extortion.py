@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgames import (
     ExtortionParams,
@@ -19,7 +21,7 @@ from zdgames import (
     theta_max,
 )
 
-from helpers import extortable_symmetric_3x3, rand_strategy
+from helpers import SCALES, SHIFTS, extortable_symmetric_3x3, payoff_grid, rand_strategy
 
 PD = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
 
@@ -163,6 +165,38 @@ class TestThetaMax:
             assert extortion_strategy(game, ExtortionParams(lam, limit)).feasible
             above = limit * (1.0 + 1e-6)
             assert not extortion_strategy(game, ExtortionParams(lam, above)).feasible
+
+
+@st.composite
+def extortion_problems(draw):
+    """A normalized symmetric game and a factor, with some brackets tied at 0.
+
+    A tie sets a_ij - a_nn = lam * (a_ji - a_nn) below the diagonal, so
+    E_ij vanishes exactly; rescaled or shifted payoffs leave only rounding
+    there, which a scale-free tolerance must still read as zero.
+    """
+    n = draw(st.integers(2, 4))
+    lam = draw(st.integers(2, 20)) / 2.0
+    A = draw(payoff_grid(n, n))
+    if A[0, 0] < A[-1, -1]:
+        A[0, 0], A[-1, -1] = A[-1, -1], A[0, 0]
+    for i, j in zip(*np.tril_indices(n, -1)):
+        if draw(st.booleans()):
+            A[i, j] = A[-1, -1] + lam * (A[j, i] - A[-1, -1])
+    return A, lam
+
+
+@given(extortion_problems(), SCALES, SHIFTS)
+def test_admissibility_ignores_payoff_scale_and_shift(problem, s, c):
+    A, lam = problem
+    game, moved = make_symmetric(A), make_symmetric(s * (A + c))
+    report = check_extortion_factor(game, lam)
+    assert check_extortion_factor(moved, lam).violated == report.violated
+    assert extortion_factor_bounds(moved).feasible == extortion_factor_bounds(game).feasible
+    if report.ok:
+        limit = theta_max(game, lam)
+        moved_limit = s * theta_max(moved, lam)
+        assert moved_limit == limit or abs(moved_limit - limit) <= 1e-9 * limit
 
 
 class TestChickenExtortion:

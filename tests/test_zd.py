@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgames import (
     DegenerateDenominator,
@@ -9,6 +11,7 @@ from zdgames import (
     expected_scores,
     extortion_coefficients,
     flatten_payoffs,
+    make_game,
     make_strategy,
     make_symmetric,
     own_move_one_indicator,
@@ -23,7 +26,7 @@ from zdgames import (
 )
 from zdgames.zd import _zd_matrix
 
-from helpers import feasible_zd_instance, rand_game, rand_strategy
+from helpers import SCALES, SHIFTS, feasible_zd_instance, payoff_grid, rand_game, rand_strategy
 
 PD = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
 
@@ -211,9 +214,67 @@ class TestPinning:
         with pytest.raises(ValueError):
             pin_opponent_score(PD, "gamma", 2.0)
 
+    def test_large_payoff_scale(self, rng):
+        scale = 1e6
+        game = make_symmetric(scale * PD.A)
+        result, coeffs = pin_opponent_score(game, "alpha", 2.0 * scale)
+        assert coeffs.a == 0.0 and coeffs.b < 0.0
+        p = result.complete()
+        for _ in range(20):
+            q = rand_strategy(rng, "beta", 2, 2)
+            assert abs(expected_scores(game, p, q).pi_beta - 2.0 * scale) < 1e-9 * scale
+
+    def test_target_just_outside_window(self):
+        # alpha can pin beta anywhere in [1, 3] on the PD, and nowhere else
+        pin_opponent_score(PD, "alpha", 3.0)
+        with pytest.raises(NoFeasiblePin, match="no feasible pin"):
+            pin_opponent_score(PD, "alpha", 3.0 + 1e-9)
+
     def test_non_finite_target(self):
         with pytest.raises(ValueError):
             pin_opponent_score(PD, "alpha", float("inf"))
+
+
+def _pinnable(game, pinner, target):
+    try:
+        pin_opponent_score(game, pinner, target)
+    except NoFeasiblePin:
+        return False
+    return True
+
+
+@st.composite
+def pin_problems(draw):
+    """A game with a nonempty pin window, and a target in it or just outside.
+
+    The opponent's payoffs are sorted so the pinner's own-move-1 states get
+    the smallest (or largest) values; the window lies between the two
+    groups, and half-integer targets land on its edges as well.
+    """
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    pinner = draw(st.sampled_from(["alpha", "beta"]))
+    own = own_move_one_indicator(pinner, n, m) == 1.0
+    values = np.sort(draw(payoff_grid(1, n * m)).ravel())
+    if draw(st.booleans()):
+        values = values[::-1]
+    k = int(own.sum())
+    edges = sorted(values[k - 1 : k + 1])
+    opponent = np.empty(n * m)
+    opponent[own], opponent[~own] = values[:k], values[k:]
+    own_payoffs = draw(payoff_grid(n, m) if pinner == "alpha" else payoff_grid(m, n))
+    if pinner == "alpha":
+        game = make_game(own_payoffs, opponent.reshape(n, m).T)
+    else:
+        game = make_game(opponent.reshape(n, m), own_payoffs)
+    target = draw(st.integers(int(2 * edges[0]) - 2, int(2 * edges[1]) + 2)) / 2.0
+    return game, pinner, target
+
+
+@given(pin_problems(), SCALES, SHIFTS)
+def test_pin_verdict_ignores_payoff_scale_and_shift(problem, s, c):
+    game, pinner, target = problem
+    moved = make_game(s * (game.A + c), s * (game.B + c))
+    assert _pinnable(moved, pinner, s * (target + c)) == _pinnable(game, pinner, target)
 
 
 class TestExtortionCoefficients:
