@@ -214,7 +214,8 @@ def pin_opponent_score(game, pinner, target):
     ------
     NoFeasiblePin
         When both t_pos and t_neg are 0, i.e. the target lies outside the
-        window the pinner can enforce.
+        window the pinner can enforce, or when rounding leaves the one
+        synthesis outside [0, 1].
     """
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
@@ -224,7 +225,7 @@ def pin_opponent_score(game, pinner, target):
     t_pos = _feasible_scale(delta, g)[0]
     t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)[0]))
     if t_max > 0.0:
-        weight = math.ldexp(0.5, math.frexp(t_max)[1])
+        weight = math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
         if weight > t_pos:
             weight = -weight
         if pinner == "alpha":

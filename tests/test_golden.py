@@ -3,7 +3,9 @@
 Pin coefficients and first components must match bit for bit, and so must
 the NoFeasiblePin verdicts.  Extortion factor verdicts and violated ids must
 match exactly; theta_max and the extortioner's (1,1) entry may move by
-rounding (within 1e-12), every other entry must match bit for bit.
+rounding (within 1e-12), every other entry must match bit for bit.  The
+values predate the closed-form feasible scale in ``zdgames.zd``; rerun the
+script only when an output is meant to change.
 """
 
 import json
