@@ -26,9 +26,6 @@ STATIONARY_RESIDUAL_TOL = 1e-9
 CORANK_RTOL = 1e-10
 CLAMP_TOL = 1e-12
 
-# explicit signed minors up to this size; SVD-based adjugate beyond
-_MINOR_SIZE_LIMIT = 12
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
@@ -114,8 +111,8 @@ def stationary(P):
     """Solve v P = v, sum(v) = 1 for the unique stationary distribution.
 
     Replaces the last equation of (P - I)^T x = 0 with the normalization
-    and solves the dense system directly; falls back to the SVD null vector
-    if that system happens to be singular.
+    and solves the dense system directly; falls back, once, to the SVD null
+    vector if that system is singular or its solution fails the residual check.
 
     Raises
     ------
@@ -136,13 +133,12 @@ def stationary(P):
     try:
         v = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        v = _null_left(M)
-
-    bad = (
-        np.linalg.norm(v @ P.entries - v, np.inf) > STATIONARY_RESIDUAL_TOL
+        v = None
+    if (
+        v is None
+        or np.linalg.norm(v @ P.entries - v, np.inf) > STATIONARY_RESIDUAL_TOL
         or v.min() < -CLAMP_TOL
-    )
-    if bad:
+    ):
         v = _null_left(M)
     if v.min() < -CLAMP_TOL:
         raise ArithmeticError(
@@ -155,24 +151,6 @@ def stationary(P):
     return StationaryDistribution(_readonly(v), corank == 1)
 
 
-def _adjugate_last_row_minors(M):
-    size = M.shape[0]
-    c = np.empty(size)
-    for r in range(size):
-        minor = np.delete(np.delete(M, r, axis=0), size - 1, axis=1)
-        c[r] = (-1.0) ** (r + size - 1) * np.linalg.det(minor)
-    return c
-
-
-def _adjugate_last_row_svd(M):
-    # Adj(M) = det(U) det(V) * prod(leading singular values) * outer(V[:,-1], U[:,-1])
-    # for corank-1 M; higher corank makes the product (hence the row) vanish.
-    u, sv, vt = np.linalg.svd(M)
-    sign = np.sign(np.linalg.det(u)) * np.sign(np.linalg.det(vt))
-    scale = sign * sv[:-1].prod()
-    return scale * vt[-1, -1] * u[:, -1]
-
-
 def cofactor_row(P):
     """Last row of Adj(P - I).
 
@@ -182,11 +160,12 @@ def cofactor_row(P):
     vanishes and the zero vector is returned.
     """
     M = P.entries - np.eye(P.entries.shape[0])
-    if M.shape[0] <= _MINOR_SIZE_LIMIT:
-        c = _adjugate_last_row_minors(M)
-    else:
-        c = _adjugate_last_row_svd(M)
-    return CofactorVector(_readonly(c))
+    # Adj(M) = det(U) det(V) * prod(leading singular values) * outer(V[:,-1], U[:,-1])
+    # for corank-1 M; higher corank makes the product (hence the row) vanish.
+    u, sv, vt = np.linalg.svd(M)
+    sign = np.sign(np.linalg.det(u)) * np.sign(np.linalg.det(vt))
+    scale = sign * sv[:-1].prod()
+    return CofactorVector(_readonly(scale * vt[-1, -1] * u[:, -1]))
 
 
 def zd_feasibility_condition(P):
@@ -207,7 +186,10 @@ def expected_scores(game, p, q):
     """Long-run average payoffs (v . omega) for both players."""
     if (game.n, game.m) != (p.n, p.m):
         raise ValueError("strategy dimensions do not match the game")
-    v = stationary(transition_matrix(p, q)).v
+    return _scores(game, stationary(transition_matrix(p, q)).v)
+
+
+def _scores(game, v):
     wa = flatten_payoffs(game, "alpha").entries
     wb = flatten_payoffs(game, "beta").entries
     return ScorePair(float(v @ wa), float(v @ wb))

@@ -45,7 +45,7 @@ from .extortion import (
     theta_max,
 )
 from .model import FILL_RULES, flatten_payoffs, make_strategy
-from .simulate import SimulationConfig, play
+from .simulate import RATIO_TOL, SimulationConfig, play
 from .zd import (
     ZDCoefficients,
     extortion_coefficients,
@@ -305,7 +305,7 @@ def cmd_simulate(args):
     lambda_hat = None
     if args.lam is not None:
         denominator = report.empirical_pi_beta - args.delta
-        if abs(denominator) < 1e-9:
+        if abs(denominator) < RATIO_TOL:
             raise DegenerateRatio(
                 f"empirical pi_beta - delta = {denominator!r}; ratio undefined"
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import expected_scores, stationary, transition_matrix
+from .chain import _scores, stationary, transition_matrix
 from .errors import DegenerateRatio
 from .model import StateIndex, _readonly, flatten_payoffs
 
@@ -141,8 +141,8 @@ def play(game, p, q, config):
 def compare_to_stationary(game, p, q, config):
     """Gap between one simulated run and the exact stationary quantities."""
     report = play(game, p, q, config)
-    exact = expected_scores(game, p, q)
     v = stationary(transition_matrix(p, q)).v
+    exact = _scores(game, v)
     gap = max(
         abs(report.empirical_pi_alpha - exact.pi_alpha),
         abs(report.empirical_pi_beta - exact.pi_beta),

@@ -117,14 +117,14 @@ def _feasible_scale(delta, g):
     return float(limits.min(initial=math.inf)), blocking
 
 
-def _zd_matrix(p, q, f=None):
+def _zd_matrix(p, q):
     """P - I after the two unilateral column operations.
 
     Adds every column whose next alpha-move is alpha_1 into the column of
     state (alpha_1, beta_2), and every column whose next beta-move is beta_1
     into the column of (alpha_1, beta_1); both operations read the original
     columns, which is exactly the sequential elementary-operation result.
-    When ``f`` is given it replaces the final column.
+    Callers overwrite the final column with the vector f of D(p, q, f).
     """
     n, m = p.n, p.m
     if n < 2 or m < 2:
@@ -134,9 +134,17 @@ def _zd_matrix(p, q, f=None):
     out = M.copy()
     out[:, 1] = M[:, 0:m].sum(axis=1)
     out[:, 0] = M[:, 0::m].sum(axis=1)
-    if f is not None:
-        out[:, -1] = f
     return out
+
+
+def _final_column(p, f):
+    """``f`` as a float nm-vector; ValueError on a wrong shape or a non-finite entry."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (p.n * p.m,):
+        raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
+    return f
 
 
 def press_dyson_determinant(p, q, f):
@@ -145,12 +153,10 @@ def press_dyson_determinant(p, q, f):
     Only ratios of two D values are meaningful; the sign convention is fixed
     by the column placement described in :func:`_zd_matrix`.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (p.n * p.m,):
-        raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
-    return float(np.linalg.det(_zd_matrix(p, q, f)))
+    f = _final_column(p, f)
+    D = _zd_matrix(p, q)
+    D[:, -1] = f
+    return float(np.linalg.det(D))
 
 
 def score_combination(game, p, q, coeffs):
@@ -165,18 +171,18 @@ def score_combination(game, p, q, coeffs):
         When |D(p, q, 1)| falls below 1e-12 times a Hadamard bound of the
         constructed matrix, i.e. the chain's fixed space is degenerate.
     """
-    ones = np.ones(game.n * game.m)
-    base = _zd_matrix(p, q, ones)
-    d_one = float(np.linalg.det(base))
-    scale = max(1.0, float(np.prod(np.linalg.norm(base, axis=0))))
+    D = _zd_matrix(p, q)
+    D[:, -1] = 1.0
+    d_one = float(np.linalg.det(D))
+    scale = max(1.0, float(np.prod(np.linalg.norm(D, axis=0))))
     if abs(d_one) < DENOMINATOR_RTOL * scale:
         raise DegenerateDenominator(
             f"D(p, q, 1) = {d_one!r} is negligible against scale {scale!r}"
         )
     wa = flatten_payoffs(game, "alpha").entries
     wb = flatten_payoffs(game, "beta").entries
-    d_f = press_dyson_determinant(p, q, coeffs.combine(wa, wb))
-    return d_f / d_one
+    D[:, -1] = _final_column(p, coeffs.combine(wa, wb))
+    return float(np.linalg.det(D)) / d_one
 
 
 def _synthesize(game, coeffs, player):

@@ -41,6 +41,33 @@ def rand_strategy(rng, player, n, m):
     return make_strategy(player, rows, order="alpha-major")
 
 
+def rand_mixed_pure_strategy(rng, player, n, m, mixed_share):
+    """Pure rows, each replaced by an interior one with probability ``mixed_share``.
+
+    Pure rows make absorbing and reducible chains common, where cofactors
+    vanish exactly and the one-signedness verdict is decided at the tolerance.
+    """
+    k = n if player == "alpha" else m
+    rows = np.eye(k)[rng.integers(k, size=n * m)]
+    mixed = rng.random(n * m) < mixed_share
+    rows[mixed] = rng.dirichlet(np.ones(k), size=int(mixed.sum()))
+    return make_strategy(player, rows, order="alpha-major")
+
+
+def adjugate_last_row_minors(M):
+    """Last row of Adj(M) from explicit signed minors, the textbook definition.
+
+    Reference for the SVD adjugate in ``cofactor_row``: entry r is
+    (-1)^(r + N - 1) times the determinant of M without row r and column N - 1.
+    """
+    size = M.shape[0]
+    c = np.empty(size)
+    for r in range(size):
+        minor = np.delete(np.delete(M, r, axis=0), size - 1, axis=1)
+        c[r] = (-1.0) ** (r + size - 1) * np.linalg.det(minor)
+    return c
+
+
 def rand_game(rng, n, m, low=-1.0, high=4.0):
     A = rng.uniform(low, high, size=(n, m))
     B = rng.uniform(low, high, size=(m, n))

@@ -16,9 +16,9 @@ from zdgames import (
     transition_matrix,
     zd_feasibility_condition,
 )
-from zdgames.chain import _adjugate_last_row_minors, _adjugate_last_row_svd
+import zdgames.chain as chain_module
 
-from helpers import rand_game, rand_strategy
+from helpers import adjugate_last_row_minors, rand_game, rand_mixed_pure_strategy, rand_strategy
 
 
 def always(player, move, n, m):
@@ -149,18 +149,55 @@ class TestCofactorRow:
         assert np.linalg.norm(c @ M, np.inf) <= 1e-8 * max(1.0, np.abs(c).max())
 
     def test_minor_and_svd_paths_agree(self, rng):
-        for n, m in [(2, 2), (2, 3), (3, 3)]:
-            P = transition_matrix(rand_strategy(rng, "alpha", n, m), rand_strategy(rng, "beta", n, m))
-            M = P.entries - np.eye(n * m)
-            a = _adjugate_last_row_minors(M)
-            b = _adjugate_last_row_svd(M)
-            assert np.allclose(a, b, rtol=1e-8, atol=1e-12)
+        # interior, mixed-pure and pure pairs: pure rows give absorbing and
+        # reducible chains whose vanishing cofactors must not flip the verdict
+        for share in (1.0, 0.5, 0.0):
+            for n, m in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)] * 4:
+                p = rand_mixed_pure_strategy(rng, "alpha", n, m, share)
+                q = rand_mixed_pure_strategy(rng, "beta", n, m, share)
+                P = transition_matrix(p, q)
+                oracle = adjugate_last_row_minors(P.entries - np.eye(n * m))
+                assert np.allclose(cofactor_row(P).c, oracle, rtol=1e-8, atol=1e-12)
+                one_signed = (oracle >= -1e-12).all() or (oracle <= 1e-12).all()
+                holds = abs(oracle.sum()) > 1e-10 and one_signed
+                assert zd_feasibility_condition(P).holds == holds
 
     def test_large_chain_uses_svd_path(self, rng):
-        # 4x4 game: 16 states, beyond the explicit-minor cutoff
+        # 4x4 game: 16 states, larger than any chain the minors oracle checks
         P = transition_matrix(rand_strategy(rng, "alpha", 4, 4), rand_strategy(rng, "beta", 4, 4))
         c = cofactor_row(P).c
         assert np.allclose(c / c.sum(), stationary(P).v, rtol=0, atol=1e-8)
+
+
+class TestStationaryFallback:
+    """The SVD null vector stands in, computed once, when the LU solve fails."""
+
+    def check_fallback(self, rng, monkeypatch, fake_solve):
+        P = transition_matrix(rand_strategy(rng, "alpha", 3, 3), rand_strategy(rng, "beta", 3, 3))
+        lu = stationary(P).v
+        null_left = chain_module._null_left
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return null_left(M)
+
+        monkeypatch.setattr(chain_module, "_null_left", counted)
+        monkeypatch.setattr(np.linalg, "solve", fake_solve)
+        v = stationary(P).v
+        assert len(calls) == 1
+        assert np.abs(v - lu).max() <= 1e-12
+        assert np.linalg.norm(v @ P.entries - v, np.inf) < 1e-9
+
+    def test_solve_raises(self, rng, monkeypatch):
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        self.check_fallback(rng, monkeypatch, singular)
+
+    def test_solve_misses_residual(self, rng, monkeypatch):
+        # a point mass on state (1, 1) is not stationary for an interior chain
+        self.check_fallback(rng, monkeypatch, lambda A, b: np.eye(len(b))[0])
 
 
 class TestFeasibilityCondition:

@@ -234,6 +234,18 @@ class TestSimulate:
         assert code == 0
         assert "skipping comparison" in capsys.readouterr().out
 
+    def test_degenerate_ratio_exits_2(self, tmp_path, chicken_path, capsys):
+        # both always play move 2: pi_beta is chicken's (2, 2) payoff, 0
+        p = make_strategy("alpha", np.tile([0.0, 1.0], (4, 1)), order="alpha-major")
+        q = make_strategy("beta", np.tile([0.0, 1.0], (4, 1)), order="alpha-major")
+        p_path, q_path = tmp_path / "p2.json", tmp_path / "q2.json"
+        save_strategy(p, p_path)
+        save_strategy(q, q_path)
+        code = main(["simulate", chicken_path, str(p_path), str(q_path),
+                     "--rounds", "1000", "--lambda", "2"])
+        assert code == 2
+        assert "ratio undefined" in capsys.readouterr().err
+
     def test_zero_rounds_usage_error(self, tmp_path, chicken_path):
         p_path, q_path = uniform_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -126,6 +126,12 @@ class TestScoreCombination:
         with pytest.raises(DegenerateDenominator):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(1, 0, 0))
 
+    def test_non_finite_coefficient(self, rng):
+        p = rand_strategy(rng, "alpha", 2, 2)
+        q = rand_strategy(rng, "beta", 2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            score_combination(chicken_family(0.5), p, q, ZDCoefficients(np.nan, 0, 0))
+
 
 class TestSynthesis:
     def test_chicken_alpha(self):
