@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationary
-from .model import flatten_payoffs, _readonly
+from .model import _payoff_vectors, _readonly
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
@@ -79,14 +79,21 @@ class FeasibilityReport:
     cofactors: CofactorVector
 
 
-def transition_matrix(p, q):
-    """Build the joint chain of alpha strategy ``p`` against beta ``q``."""
+def _check_pair(p, q, game=None):
+    """ValueError unless p is alpha's and q beta's, of one shape (``game``'s if given)."""
     if p.player != "alpha" or q.player != "beta":
         raise ValueError("expected an alpha strategy followed by a beta strategy")
     if (p.n, p.m) != (q.n, q.m):
         raise ValueError(
             f"strategy dimensions disagree: ({p.n}, {p.m}) vs ({q.n}, {q.m})"
         )
+    if game is not None and (game.n, game.m) != (p.n, p.m):
+        raise ValueError("strategy dimensions do not match the game")
+
+
+def transition_matrix(p, q):
+    """Build the joint chain of alpha strategy ``p`` against beta ``q``."""
+    _check_pair(p, q)
     entries = np.einsum("sk,sl->skl", p.rows, q.rows).reshape(p.n * p.m, p.n * p.m)
     return TransitionMatrix((p.n, p.m), entries)
 
@@ -184,12 +191,11 @@ def zd_feasibility_condition(P):
 
 def expected_scores(game, p, q):
     """Long-run average payoffs (v . omega) for both players."""
-    if (game.n, game.m) != (p.n, p.m):
-        raise ValueError("strategy dimensions do not match the game")
+    _check_pair(p, q, game)
     return _scores(game, stationary(transition_matrix(p, q)).v)
 
 
 def _scores(game, v):
-    wa = flatten_payoffs(game, "alpha").entries
-    wb = flatten_payoffs(game, "beta").entries
+    """Both players' average payoffs v . omega under the state weights ``v``."""
+    wa, wb = _payoff_vectors(game)
     return ScorePair(float(v @ wa), float(v @ wb))

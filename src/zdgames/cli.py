@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .chain import (
+    _scores,
     expected_scores,
     stationary,
     transition_matrix,
@@ -44,8 +45,8 @@ from .extortion import (
     extortion_strategy,
     theta_max,
 )
-from .model import FILL_RULES, flatten_payoffs, make_strategy
-from .simulate import RATIO_TOL, SimulationConfig, play
+from .model import FILL_RULES, make_strategy
+from .simulate import SimulationConfig, _ratio, _tv_distance, play
 from .zd import (
     ZDCoefficients,
     extortion_coefficients,
@@ -64,6 +65,19 @@ EXIT_SCHEMA = 3
 
 class _UsageError(Exception):
     pass
+
+
+# exit code by exception class; main uses the most specific class that matches
+_EXIT_CODES = {
+    _UsageError: EXIT_SCHEMA,
+    SchemaError: EXIT_SCHEMA,
+    OSError: EXIT_SCHEMA,
+    ValueError: EXIT_SCHEMA,
+    NonUniqueStationary: EXIT_DEGENERATE,
+    DegenerateDenominator: EXIT_DEGENERATE,
+    DegenerateRatio: EXIT_DEGENERATE,
+    NoFeasiblePin: EXIT_INFEASIBLE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,16 +140,23 @@ def _random_opponents(player, n, m, count, seed):
     ]
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows, note=""):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    print(f"wrote {path}{note}")
 
 
 def _print_violations(result):
     for state, value in result.violations:
         print(f"  state ({state.i},{state.j}): {value!r} outside [0, 1]")
+
+
+def _save(strategy, path):
+    if path:
+        save_strategy(strategy, path)
+        print(f"wrote {path}")
 
 
 def cmd_analyze(args):
@@ -146,10 +167,7 @@ def cmd_analyze(args):
 
     P = transition_matrix(p, q)
     dist = stationary(P)
-    wa = flatten_payoffs(game, "alpha").entries
-    wb = flatten_payoffs(game, "beta").entries
-    pi_alpha = float(dist.v @ wa)
-    pi_beta = float(dist.v @ wb)
+    scores = _scores(game, dist.v)
     feas = zd_feasibility_condition(P)
     d_one = press_dyson_determinant(p, q, np.ones(nm))
 
@@ -160,8 +178,8 @@ def cmd_analyze(args):
         for row in P.entries:
             print("  " + _fmt_vec(row))
     print(f"stationary distribution: {_fmt_vec(dist.v)}")
-    print(f"pi_alpha = {pi_alpha!r}")
-    print(f"pi_beta  = {pi_beta!r}")
+    print(f"pi_alpha = {scores.pi_alpha!r}")
+    print(f"pi_beta  = {scores.pi_beta!r}")
     verdict = "holds" if feas.holds else "fails"
     print(f"zd feasibility: {verdict} (cofactor sum {float(feas.cofactors.c.sum())!r})")
     print(f"D(p, q, 1) = {d_one!r}")
@@ -169,10 +187,9 @@ def cmd_analyze(args):
     if args.csv:
         header = ["n", "m", "pi_alpha", "pi_beta", "det_one", "zd_feasible"]
         header += [f"v{s}" for s in range(nm)]
-        row = [game.n, game.m, pi_alpha, pi_beta, d_one, feas.holds]
+        row = [game.n, game.m, scores.pi_alpha, scores.pi_beta, d_one, feas.holds]
         row += [float(x) for x in dist.v]
         _write_csv(args.csv, header, [row])
-        print(f"wrote {args.csv}")
     return EXIT_OK
 
 
@@ -190,10 +207,7 @@ def cmd_zd(args):
         _print_violations(result)
         return EXIT_INFEASIBLE
     print("feasible")
-    strategy = result.complete(args.fill)
-    if args.out:
-        save_strategy(strategy, args.out)
-        print(f"wrote {args.out}")
+    _save(result.complete(args.fill), args.out)
     return EXIT_OK
 
 
@@ -234,10 +248,7 @@ def cmd_extort(args):
     print(f"first components: {_fmt_vec(result.p1)}")
     print(f"enforces: pi_alpha - {nn!r} = {args.lam!r} * (pi_beta - {nn!r})")
     print(f"theta_max at this factor: {limit!r}")
-    strategy = result.complete(args.fill)
-    if args.out:
-        save_strategy(strategy, args.out)
-        print(f"wrote {args.out}")
+    _save(result.complete(args.fill), args.out)
     return EXIT_OK
 
 
@@ -262,23 +273,15 @@ def cmd_pin(args):
         pinned.append(value)
         rows.append([idx, scores.pi_alpha, scores.pi_beta, abs(value - args.target)])
 
-    deviations = [abs(x - args.target) for x in pinned]
     print(f"pinner: {args.player}, target: {args.target!r}")
     print(f"coefficients: a={coeffs.a!r} b={coeffs.b!r} c={coeffs.c!r}")
     print(f"first components: {_fmt_vec(result.p1)}")
     print(f"opponents: {args.opponents} (seed {args.seed})")
-    print(f"max deviation: {max(deviations)!r}")
+    print(f"max deviation: {max(row[3] for row in rows)!r}")
     print(f"score variance: {float(np.var(pinned))!r}")
     if args.report:
-        _write_csv(
-            args.report,
-            ["opponent", "pi_alpha", "pi_beta", "deviation"],
-            rows,
-        )
-        print(f"wrote {args.report}")
-    if args.out:
-        save_strategy(strategy, args.out)
-        print(f"wrote {args.out}")
+        _write_csv(args.report, ["opponent", "pi_alpha", "pi_beta", "deviation"], rows)
+    _save(strategy, args.out)
     return EXIT_OK
 
 
@@ -294,45 +297,29 @@ def cmd_simulate(args):
     print(f"empirical pi_beta  = {report.empirical_pi_beta!r}")
     print(f"state frequencies: {_fmt_vec(report.state_frequencies)}")
 
-    tv = None
+    # an unavailable quantity is an empty CSV cell
+    tv = lambda_hat = ""
     try:
-        v = stationary(transition_matrix(p, q)).v
-        tv = 0.5 * float(np.abs(report.state_frequencies - v).sum())
+        tv = _tv_distance(report, stationary(transition_matrix(p, q)).v)
         print(f"tv distance to exact stationary: {tv!r}")
     except NonUniqueStationary:
         print("exact stationary unavailable (non-unique); skipping comparison")
 
-    lambda_hat = None
     if args.lam is not None:
-        denominator = report.empirical_pi_beta - args.delta
-        if abs(denominator) < RATIO_TOL:
-            raise DegenerateRatio(
-                f"empirical pi_beta - delta = {denominator!r}; ratio undefined"
-            )
-        lambda_hat = (report.empirical_pi_alpha - args.delta) / denominator
+        lambda_hat = _ratio(report, args.delta)
         print(f"lambda_hat = {lambda_hat!r} (configured lambda {args.lam!r})")
 
     if args.csv:
-        header = [
-            "seed",
-            "rounds",
-            "rounds_counted",
-            "empirical_pi_alpha",
-            "empirical_pi_beta",
-            "tv_distance",
-            "lambda_hat",
-        ]
-        row = [
-            args.seed,
-            args.rounds,
-            report.rounds_counted,
-            report.empirical_pi_alpha,
-            report.empirical_pi_beta,
-            "" if tv is None else tv,
-            "" if lambda_hat is None else lambda_hat,
-        ]
-        _write_csv(args.csv, header, [row])
-        print(f"wrote {args.csv}")
+        fields = {
+            "seed": args.seed,
+            "rounds": args.rounds,
+            "rounds_counted": report.rounds_counted,
+            "empirical_pi_alpha": report.empirical_pi_alpha,
+            "empirical_pi_beta": report.empirical_pi_beta,
+            "tv_distance": tv,
+            "lambda_hat": lambda_hat,
+        }
+        _write_csv(args.csv, list(fields), [list(fields.values())])
     return EXIT_OK
 
 
@@ -369,12 +356,8 @@ def cmd_scan(args):
                     )
             rows.append([lam, theta, report.ok, limit_text, feasible, residual])
 
-    _write_csv(
-        args.out,
-        ["lambda", "theta", "lambda_ok", "theta_max", "feasible", "max_residual"],
-        rows,
-    )
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    header = ["lambda", "theta", "lambda_ok", "theta_max", "feasible", "max_residual"]
+    _write_csv(args.out, header, rows, note=f" ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -447,24 +430,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (NonUniqueStationary, DegenerateDenominator, DegenerateRatio) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NoFeasiblePin as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except tuple(_EXIT_CODES) as exc:
+        label = "usage error" if isinstance(exc, _UsageError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -42,9 +42,8 @@ def _grid(obj, field, rows, cols, source):
                 f"{source}: field {field!r} row {r} must have {cols} entries"
             )
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError(f"{source}: field {field!r} row {r} holds {x!r}")
-            if not math.isfinite(x):
+            number = isinstance(x, (int, float)) and not isinstance(x, bool)
+            if not (number and math.isfinite(x)):
                 raise SchemaError(f"{source}: field {field!r} row {r} holds {x!r}")
     return value
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import flatten_payoffs, own_move_one_indicator
+from .model import _payoff_vectors, own_move_one_indicator
 from .zd import _feasible_scale, _synthesis_result
 
 CONDITION_TOL = 1e-12
@@ -103,10 +103,9 @@ def _require_normalized(A):
 
 def _extortion_vectors(game):
     """delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, alpha-major."""
+    wa, wb = _payoff_vectors(game)
     nn = game.A[-1, -1]
-    u = flatten_payoffs(game, "alpha").entries - nn
-    w = flatten_payoffs(game, "beta").entries - nn
-    return own_move_one_indicator("alpha", game.n, game.n), u, w
+    return own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
 
 
 def _extortion_scale(game, lam):
@@ -203,10 +202,7 @@ def chicken_extortion(r, lam, theta):
     """
     if r <= 0:
         raise ValueError(f"profit and loss ratio must be positive, got {r}")
-    if theta <= 0.0:
-        raise ValueError(f"scale theta must be positive, got {theta}")
-    if lam < 1.0:
-        raise ValueError(f"extortion factor must be at least 1, got {lam}")
+    ExtortionParams(lam, theta)  # validates lam and theta
     if r < 1.0 and lam > (1.0 + r) / (1.0 - r) + CONDITION_TOL:
         raise ValueError(
             f"factor {lam} exceeds the admissible maximum {(1.0 + r) / (1.0 - r)} "
@@ -226,7 +222,8 @@ def n2_conditions(game, lam):
     """Standalone two-strategy admissibility test.
 
     True iff a_12 - a_22 - lam*(a_21 - a_22) <= 0 and
-    a_21 - a_22 - lam*(a_12 - a_22) >= 0 (tolerance 1e-12); agrees with
+    a_21 - a_22 - lam*(a_12 - a_22) >= 0, up to 1e-12 times the payoff
+    spread so the verdict does not depend on the payoff scale; agrees with
     :func:`check_extortion_factor` on every symmetric 2x2 game.
     """
     A = _require_symmetric(game)
@@ -235,4 +232,5 @@ def n2_conditions(game, lam):
     nn = A[1, 1]
     first = (A[0, 1] - nn) - lam * (A[1, 0] - nn)
     last = (A[1, 0] - nn) - lam * (A[0, 1] - nn)
-    return bool(first <= CONDITION_TOL and last >= -CONDITION_TOL)
+    tol = CONDITION_TOL * np.ptp(A)
+    return bool(first <= tol and last >= -tol)

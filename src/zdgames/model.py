@@ -160,6 +160,11 @@ def flatten_payoffs(game, owner):
     return PayoffVector(_readonly(grid.ravel()), owner)
 
 
+def _payoff_vectors(game):
+    """(omega_alpha, omega_beta): both players' flattened payoff entries."""
+    return flatten_payoffs(game, "alpha").entries, flatten_payoffs(game, "beta").entries
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryOneStrategy:
     """A strategy whose move distribution depends only on the last outcome.

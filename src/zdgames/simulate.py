@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import _scores, stationary, transition_matrix
+from .chain import _check_pair, _scores, stationary, transition_matrix
 from .errors import DegenerateRatio
-from .model import StateIndex, _readonly, flatten_payoffs
+from .model import StateIndex, _readonly
 
 RATIO_TOL = 1e-9
 
@@ -102,10 +102,10 @@ def play(game, p, q, config):
 
     Round 1 is the initial state; every later round samples alpha's move
     from p's row and beta's move from q's row at the current state.  Rounds
-    numbered at most ``burn_in`` are discarded.
+    numbered at most ``burn_in`` are discarded.  Raises ValueError unless p
+    and q are alpha's and beta's strategies, in that order, for ``game``.
     """
-    if (game.n, game.m) != (p.n, p.m) or (p.n, p.m) != (q.n, q.m):
-        raise ValueError("game and strategy dimensions disagree")
+    _check_pair(p, q, game)
     n, m = game.n, game.m
     burn_in = config.resolved_burn_in
 
@@ -131,11 +131,22 @@ def play(game, p, q, config):
 
     counted = config.rounds - burn_in
     freq = np.asarray(counts, dtype=float) / counted
-    wa = flatten_payoffs(game, "alpha").entries
-    wb = flatten_payoffs(game, "beta").entries
-    return SimulationReport(
-        float(freq @ wa), float(freq @ wb), _readonly(freq), counted
-    )
+    scores = _scores(game, freq)
+    return SimulationReport(scores.pi_alpha, scores.pi_beta, _readonly(freq), counted)
+
+
+def _ratio(report, delta, where=""):
+    """Empirical (pi_alpha - delta) / (pi_beta - delta), checked against RATIO_TOL."""
+    denominator = report.empirical_pi_beta - delta
+    if abs(denominator) < RATIO_TOL:
+        raise DegenerateRatio(
+            f"{where}empirical pi_beta - delta = {denominator!r}; ratio undefined"
+        )
+    return (report.empirical_pi_alpha - delta) / denominator
+
+
+def _tv_distance(report, v):
+    return 0.5 * float(np.abs(report.state_frequencies - v).sum())
 
 
 def compare_to_stationary(game, p, q, config):
@@ -147,8 +158,7 @@ def compare_to_stationary(game, p, q, config):
         abs(report.empirical_pi_alpha - exact.pi_alpha),
         abs(report.empirical_pi_beta - exact.pi_beta),
     )
-    tv = 0.5 * float(np.abs(report.state_frequencies - v).sum())
-    return ComparisonReport(gap, tv)
+    return ComparisonReport(gap, _tv_distance(report, v))
 
 
 def verify_extortion_empirically(game, p_extort, opponents, config, lam=None, delta=0.0):
@@ -160,23 +170,20 @@ def verify_extortion_empirically(game, p_extort, opponents, config, lam=None, de
 
     Raises
     ------
+    ValueError
+        When ``p_extort`` is not alpha's strategy, or an opponent beta's, for ``game``.
     DegenerateRatio
-        When an empirical denominator is within 1e-9 of zero.
+        When an empirical denominator is within ``RATIO_TOL`` of zero.
     """
     estimates = []
     for k, q in enumerate(opponents):
         seed = config.seed + k
         report = play(game, p_extort, q, replace(config, seed=seed))
-        denominator = report.empirical_pi_beta - delta
-        if abs(denominator) < RATIO_TOL:
-            raise DegenerateRatio(
-                f"opponent {k}: empirical pi_beta - delta = {denominator!r}"
-            )
         estimates.append(
             ExtortionEstimate(
                 opponent=k,
                 seed=seed,
-                lambda_hat=(report.empirical_pi_alpha - delta) / denominator,
+                lambda_hat=_ratio(report, delta, where=f"opponent {k}: "),
                 empirical_pi_alpha=report.empirical_pi_alpha,
                 empirical_pi_beta=report.empirical_pi_beta,
                 configured_lam=lam,

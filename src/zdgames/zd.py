@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import expected_scores, transition_matrix
+from .chain import _check_pair, expected_scores, transition_matrix
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     StateIndex,
+    _payoff_vectors,
     _readonly,
     complete_from_first_component,
     flatten_payoffs,
@@ -167,10 +168,13 @@ def score_combination(game, p, q, coeffs):
 
     Raises
     ------
+    ValueError
+        When p and q are not an alpha and a beta strategy for ``game``.
     DegenerateDenominator
         When |D(p, q, 1)| falls below 1e-12 times a Hadamard bound of the
         constructed matrix, i.e. the chain's fixed space is degenerate.
     """
+    _check_pair(p, q, game)
     D = _zd_matrix(p, q)
     D[:, -1] = 1.0
     d_one = float(np.linalg.det(D))
@@ -179,17 +183,14 @@ def score_combination(game, p, q, coeffs):
         raise DegenerateDenominator(
             f"D(p, q, 1) = {d_one!r} is negligible against scale {scale!r}"
         )
-    wa = flatten_payoffs(game, "alpha").entries
-    wb = flatten_payoffs(game, "beta").entries
-    D[:, -1] = _final_column(p, coeffs.combine(wa, wb))
+    D[:, -1] = _final_column(p, coeffs.combine(*_payoff_vectors(game)))
     return float(np.linalg.det(D)) / d_one
 
 
 def _synthesize(game, coeffs, player):
-    wa = flatten_payoffs(game, "alpha").entries
-    wb = flatten_payoffs(game, "beta").entries
     delta = own_move_one_indicator(player, game.n, game.m)
-    return _synthesis_result(player, game.n, game.m, delta + coeffs.combine(wa, wb))
+    raw = delta + coeffs.combine(*_payoff_vectors(game))
+    return _synthesis_result(player, game.n, game.m, raw)
 
 
 def synthesize_zd_alpha(game, coeffs):

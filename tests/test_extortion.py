@@ -255,9 +255,10 @@ class TestN2Conditions:
         with pytest.raises(ValueError, match="two-strategy"):
             n2_conditions(game, 2.0)
 
-    def test_agrees_with_general_conditions(self, rng):
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    def test_agrees_with_general_conditions(self, rng, scale):
         for _ in range(1000):
-            entries = rng.uniform(-2.0, 2.0, size=4)
+            entries = scale * rng.uniform(-2.0, 2.0, size=4)
             a11 = max(entries[0], entries[3])
             a22 = min(entries[0], entries[3])
             game = make_symmetric([[a11, entries[1]], [entries[2], a22]])

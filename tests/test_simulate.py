@@ -108,9 +108,16 @@ class TestPlay:
             play(game, always("alpha", 1, 2, 2), always("beta", 1, 2, 2), config)
 
     def test_dimension_mismatch(self, rng):
+        config = SimulationConfig(rounds=10)
         with pytest.raises(ValueError):
             play(chicken_family(0.5), rand_strategy(rng, "alpha", 2, 3),
-                 rand_strategy(rng, "beta", 2, 3), SimulationConfig(rounds=10))
+                 rand_strategy(rng, "beta", 2, 3), config)
+        p = rand_strategy(rng, "alpha", 2, 2)
+        q = rand_strategy(rng, "beta", 2, 2)
+        with pytest.raises(ValueError, match="alpha strategy followed by a beta"):
+            play(chicken_family(0.5), q, p, config)
+        with pytest.raises(ValueError, match="alpha strategy followed by a beta"):
+            verify_extortion_empirically(chicken_family(0.5), q, [p], config)
 
 
 class TestCompareToStationary:

@@ -126,6 +126,13 @@ class TestScoreCombination:
         with pytest.raises(DegenerateDenominator):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(1, 0, 0))
 
+    def test_dimension_mismatch(self, rng):
+        game = rand_game(rng, 2, 3)
+        p = rand_strategy(rng, "alpha", 3, 2)
+        q = rand_strategy(rng, "beta", 3, 2)
+        with pytest.raises(ValueError, match="strategy dimensions do not match the game"):
+            score_combination(game, p, q, ZDCoefficients(1, 0, 0))
+
     def test_non_finite_coefficient(self, rng):
         p = rand_strategy(rng, "alpha", 2, 2)
         q = rand_strategy(rng, "beta", 2, 2)
