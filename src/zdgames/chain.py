@@ -36,14 +36,18 @@ class TransitionMatrix:
 
     def __post_init__(self):
         n, m = self.dims
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.array(self.entries, dtype=float)  # a copy, clipped in place
         if entries.shape != (n * m, n * m):
             raise ValueError(f"expected {n * m}x{n * m} matrix, got {entries.shape}")
-        if (entries < -CLAMP_TOL).any() or (entries > 1.0 + CLAMP_TOL).any():
+        lo, hi = entries.min(), entries.max()
+        if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):  # NaN fails it too
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.abs(entries.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("transition rows must sum to 1")
-        object.__setattr__(self, "entries", _readonly(np.clip(entries, 0.0, 1.0)))
+        if lo < 0.0 or hi > 1.0:
+            np.clip(entries, 0.0, 1.0, out=entries)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +98,13 @@ def _check_pair(p, q, game=None):
 def transition_matrix(p, q):
     """Build the joint chain of alpha strategy ``p`` against beta ``q``."""
     _check_pair(p, q)
-    entries = np.einsum("sk,sl->skl", p.rows, q.rows).reshape(p.n * p.m, p.n * p.m)
-    return TransitionMatrix((p.n, p.m), entries)
+    return TransitionMatrix((p.n, p.m), _joint(p, q))
+
+
+def _joint(p, q):
+    """Unvalidated nm x nm product ``p.rows[s, k] * q.rows[s, l]``; new and C-ordered."""
+    joint = np.multiply(p.rows[:, :, None], q.rows[:, None, :], order="C")
+    return joint.reshape(p.n * p.m, -1)
 
 
 def _corank(M):
@@ -107,11 +116,8 @@ def _corank(M):
 
 def _null_left(M):
     # left null vector of M = right null vector of M^T, via SVD
-    u, _, _ = np.linalg.svd(M)
-    v = u[:, -1]
-    if v.sum() < 0:
-        v = -v
-    return v
+    v = np.linalg.svd(M)[0][:, -1]
+    return -v if v.sum() < 0 else v
 
 
 def stationary(P):
@@ -143,17 +149,17 @@ def stationary(P):
         v = None
     if (
         v is None
-        or np.linalg.norm(v @ P.entries - v, np.inf) > STATIONARY_RESIDUAL_TOL
+        or np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL
         or v.min() < -CLAMP_TOL
     ):
         v = _null_left(M)
-    if v.min() < -CLAMP_TOL:
-        raise ArithmeticError(
-            f"stationary solve produced mass {v.min()!r} below -{CLAMP_TOL}"
-        )
-    v = np.clip(v, 0.0, None)
+    lo = v.min()
+    if lo < -CLAMP_TOL:
+        raise ArithmeticError(f"stationary solve produced mass {lo!r} below -{CLAMP_TOL}")
+    if lo <= 0.0:  # the clip also turns -0.0 into 0.0
+        v = np.clip(v, 0.0, None)
     v = v / v.sum()
-    if np.linalg.norm(v @ P.entries - v, np.inf) > STATIONARY_RESIDUAL_TOL:
+    if np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL:
         raise ArithmeticError("stationary residual above tolerance after fallback")
     return StationaryDistribution(_readonly(v), corank == 1)
 
@@ -164,13 +170,16 @@ def cofactor_row(P):
     Every row of the adjugate of a singular corank-1 matrix is proportional
     to the left null vector, so this row is a scaled copy of the stationary
     distribution whenever one exists uniquely.  For corank > 1 the adjugate
-    vanishes and the zero vector is returned.
+    vanishes, and the row is round-off (about 1e-17 for a 2x2 chain with two
+    absorbing states; exact zeros only when a singular value is exactly 0, as
+    for the identity), which :func:`zd_feasibility_condition` rejects by its
+    1e-10 test on the sum.
     """
     M = P.entries - np.eye(P.entries.shape[0])
-    # Adj(M) = det(U) det(V) * prod(leading singular values) * outer(V[:,-1], U[:,-1])
+    # Adj(M) = det(U V^T) * prod(leading singular values) * outer(V[:,-1], U[:,-1])
     # for corank-1 M; higher corank makes the product (hence the row) vanish.
     u, sv, vt = np.linalg.svd(M)
-    sign = np.sign(np.linalg.det(u)) * np.sign(np.linalg.det(vt))
+    sign = np.sign(np.linalg.det(u @ vt))
     scale = sign * sv[:-1].prod()
     return CofactorVector(_readonly(scale * vt[-1, -1] * u[:, -1]))
 

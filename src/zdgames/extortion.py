@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _payoff_vectors, own_move_one_indicator
-from .zd import _feasible_scale, _synthesis_result
+from .zd import _check_extortion, _feasible_scale, _synthesis_result
 
 CONDITION_TOL = 1e-12
 
@@ -50,10 +50,7 @@ class ExtortionParams:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise ValueError(f"extortion factor must be at least 1, got {self.lam}")
-        if self.theta <= 0.0:
-            raise ValueError(f"scale theta must be positive, got {self.theta}")
+        _check_extortion(self.lam, self.theta)
 
 
 @dataclass(frozen=True)

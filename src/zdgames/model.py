@@ -156,13 +156,13 @@ def flatten_payoffs(game, owner):
     ``B[j-1, i-1]``, i.e. B transposed and then raveled.
     """
     _check_player(owner)
-    grid = game.A if owner == "alpha" else game.B.T
-    return PayoffVector(_readonly(grid.ravel()), owner)
+    wa, wb = _payoff_vectors(game)
+    return PayoffVector(_readonly(wa if owner == "alpha" else wb), owner)
 
 
 def _payoff_vectors(game):
-    """(omega_alpha, omega_beta): both players' flattened payoff entries."""
-    return flatten_payoffs(game, "alpha").entries, flatten_payoffs(game, "beta").entries
+    """(omega_alpha, omega_beta): ``A`` raveled and ``B`` transposed, then raveled."""
+    return game.A.ravel(), game.B.T.ravel()
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_pair, expected_scores, transition_matrix
+from .chain import _check_pair, _joint, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     StateIndex,
@@ -130,12 +130,11 @@ def _zd_matrix(p, q):
     n, m = p.n, p.m
     if n < 2 or m < 2:
         raise ValueError("determinant construction needs at least 2 moves per player")
-    P = transition_matrix(p, q).entries
-    M = P - np.eye(n * m)
-    out = M.copy()
-    out[:, 1] = M[:, 0:m].sum(axis=1)
-    out[:, 0] = M[:, 0::m].sum(axis=1)
-    return out
+    _check_pair(p, q)
+    M = _joint(p, q)
+    M.ravel()[:: n * m + 1] -= 1.0  # a view of the diagonal: M is C-ordered
+    M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
+    return M
 
 
 def _final_column(p, f):
@@ -178,7 +177,7 @@ def score_combination(game, p, q, coeffs):
     D = _zd_matrix(p, q)
     D[:, -1] = 1.0
     d_one = float(np.linalg.det(D))
-    scale = max(1.0, float(np.prod(np.linalg.norm(D, axis=0))))
+    scale = max(1.0, float(np.sqrt(np.add.reduce(D * D, axis=0)).prod()))
     if abs(d_one) < DENOMINATOR_RTOL * scale:
         raise DegenerateDenominator(
             f"D(p, q, 1) = {d_one!r} is negligible against scale {scale!r}"
@@ -248,16 +247,21 @@ def pin_opponent_score(game, pinner, target):
     )
 
 
+def _check_extortion(lam, theta):
+    """ValueError unless the extortion factor lam >= 1 and the scale theta > 0."""
+    if lam < 1.0:
+        raise ValueError(f"extortion factor must be at least 1, got {lam}")
+    if theta <= 0.0:
+        raise ValueError(f"scale theta must be positive, got {theta}")
+
+
 def extortion_coefficients(lam, delta, theta):
     """Coefficients enforcing pi_alpha - delta = lam * (pi_beta - delta).
 
     Returns (theta, -theta*lam, -(a + b)*delta); the identity c = -(a+b)*delta
     holds exactly by construction.
     """
-    if lam < 1.0:
-        raise ValueError(f"extortion factor must be at least 1, got {lam}")
-    if theta <= 0.0:
-        raise ValueError(f"scale theta must be positive, got {theta}")
+    _check_extortion(lam, theta)
     a = theta
     b = -theta * lam
     return ZDCoefficients(a, b, -(a + b) * delta)

@@ -89,6 +89,29 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix((2, 2), np.full((4, 4), 0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN fails every comparison, so a range test of the form
+        # "any entry below 0 or above 1" lets it through
+        entries = np.full((4, 4), 0.25)
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            TransitionMatrix((2, 2), entries)
+
+    @pytest.mark.parametrize("low", [0.0, -1e-13])
+    def test_leaves_caller_array_alone(self, low):
+        entries = np.full((4, 4), 0.25)
+        entries[0, :2] = [0.5 - low, low]
+        before = entries.copy()
+        P = TransitionMatrix((2, 2), entries)
+        assert P.entries[0, 1] == 0.0
+        assert np.array_equal(entries, before)
+        assert entries.flags.writeable
+        assert not np.shares_memory(P.entries, entries)
+        assert not P.entries.flags.writeable
+        with pytest.raises(ValueError):
+            P.entries[0, 0] = 1.0
+
 
 class TestStationary:
     def test_uniform_chain(self):

@@ -133,6 +133,21 @@ class TestScoreCombination:
         with pytest.raises(ValueError, match="strategy dimensions do not match the game"):
             score_combination(game, p, q, ZDCoefficients(1, 0, 0))
 
+    def test_row_memory_order(self, rng):
+        # strategy rows stored in Fortran order give the same matrix and ratio
+        game = rand_game(rng, 3, 2)
+        rows = [rng.dirichlet(np.ones(k), size=6) for k in (3, 2)]
+
+        def pair(order):
+            return [make_strategy(player, np.asarray(r, order=order), order="alpha-major")
+                    for player, r in zip(("alpha", "beta"), rows)]
+
+        assert np.array_equal(_zd_matrix(*pair("F")), _zd_matrix(*pair("C")))
+        coeffs = ZDCoefficients(0.5, -1.0, 0.25)
+        assert score_combination(game, *pair("F"), coeffs) == score_combination(
+            game, *pair("C"), coeffs
+        )
+
     def test_non_finite_coefficient(self, rng):
         p = rand_strategy(rng, "alpha", 2, 2)
         q = rand_strategy(rng, "beta", 2, 2)
