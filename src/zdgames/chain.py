@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationary
-from .model import _payoff_vectors, _readonly
+from .model import PROB_TOL, _payoff_vectors, _readonly
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
 CORANK_RTOL = 1e-10
-CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +39,7 @@ class TransitionMatrix:
         if entries.shape != (n * m, n * m):
             raise ValueError(f"expected {n * m}x{n * m} matrix, got {entries.shape}")
         lo, hi = entries.min(), entries.max()
-        if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):  # NaN fails it too
+        if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):  # NaN fails it too
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.abs(entries.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("transition rows must sum to 1")
@@ -150,12 +149,12 @@ def stationary(P):
     if (
         v is None
         or np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL
-        or v.min() < -CLAMP_TOL
+        or v.min() < -PROB_TOL
     ):
         v = _null_left(M)
     lo = v.min()
-    if lo < -CLAMP_TOL:
-        raise ArithmeticError(f"stationary solve produced mass {lo!r} below -{CLAMP_TOL}")
+    if lo < -PROB_TOL:
+        raise ArithmeticError(f"stationary solve produced mass {lo!r} below -{PROB_TOL}")
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
     v = v / v.sum()
@@ -201,7 +200,7 @@ def zd_feasibility_condition(P):
 def expected_scores(game, p, q):
     """Long-run average payoffs (v . omega) for both players."""
     _check_pair(p, q, game)
-    return _scores(game, stationary(transition_matrix(p, q)).v)
+    return _scores(game, stationary(TransitionMatrix((p.n, p.m), _joint(p, q))).v)
 
 
 def _scores(game, v):

@@ -38,16 +38,14 @@ LAST_ROW = "last-row"
 
 @dataclass(frozen=True)
 class ExtortionParams:
-    """Extortion factor ``lam`` >= 1, scale ``theta`` > 0, optional offset.
+    """Extortion factor ``lam`` >= 1 and scale ``theta`` > 0.
 
-    ``delta`` defaults to None, meaning the game's a_nn; anything else is
-    rejected by :func:`extortion_strategy` (use the coefficient route in
-    :mod:`zdgames.zd` for arbitrary offsets).
+    The offset is always the game's a_nn; use the coefficient route in
+    :mod:`zdgames.zd` for arbitrary offsets.
     """
 
     lam: float
     theta: float
-    delta: float | None = None
 
     def __post_init__(self):
         _check_extortion(self.lam, self.theta)
@@ -152,13 +150,7 @@ def extortion_strategy(game, params):
     than going through :func:`zdgames.zd.extortion_coefficients`, so the two
     constructions can be checked against each other.
     """
-    A = _require_symmetric(game)
-    nn = A[-1, -1]
-    if params.delta is not None and params.delta != nn:
-        raise ValueError(
-            f"offset is fixed to a_nn={nn} here; synthesize via extortion_coefficients "
-            f"for delta={params.delta}"
-        )
+    _require_symmetric(game)
     delta, u, w = _extortion_vectors(game)
     g = u - params.lam * w
     return _synthesis_result("alpha", game.n, game.n, delta + params.theta * g)
@@ -199,7 +191,7 @@ def chicken_extortion(r, lam, theta):
     """
     if r <= 0:
         raise ValueError(f"profit and loss ratio must be positive, got {r}")
-    ExtortionParams(lam, theta)  # validates lam and theta
+    _check_extortion(lam, theta)
     if r < 1.0 and lam > (1.0 + r) / (1.0 - r) + CONDITION_TOL:
         raise ValueError(
             f"factor {lam} exceeds the admissible maximum {(1.0 + r) / (1.0 - r)} "

@@ -201,7 +201,7 @@ def _infer_dims(player, n_rows, k):
     return n, m
 
 
-def make_strategy(player, rows, order="native", renormalize=False):
+def make_strategy(player, rows, order="native"):
     """Validate conditional-probability rows and build a strategy.
 
     Parameters
@@ -214,8 +214,6 @@ def make_strategy(player, rows, order="native", renormalize=False):
         alpha, (beta_j, alpha_i)-major for beta (the order beta would write
         down herself).  Beta-native input is reindexed on construction.
         "alpha-major" accepts rows already in canonical state order.
-    renormalize : bool
-        Rescale each row to sum to 1 instead of rejecting row-sum drift.
     """
     _check_player(player)
     if order not in ("native", "alpha-major"):
@@ -232,11 +230,7 @@ def make_strategy(player, rows, order="native", renormalize=False):
     if (rows > 1.0 + PROB_TOL).any():
         raise ValueError("probability entry exceeds 1")
     sums = rows.sum(axis=1)
-    if renormalize:
-        if (sums <= 0).any():
-            raise ValueError("cannot renormalize a zero row")
-        rows = rows / sums[:, None]
-    elif (np.abs(sums - 1.0) > PROB_TOL).any():
+    if (np.abs(sums - 1.0) > PROB_TOL).any():
         worst = int(np.argmax(np.abs(sums - 1.0)))
         raise ValueError(f"row {worst} sums to {sums[worst]!r}, expected 1")
     if player == "beta" and order == "native":

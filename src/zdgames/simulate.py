@@ -81,7 +81,6 @@ class ExtortionEstimate:
     lambda_hat: float
     empirical_pi_alpha: float
     empirical_pi_beta: float
-    configured_lam: float | None
 
 
 def _initial_flat(config, n, m, rng):
@@ -161,7 +160,7 @@ def compare_to_stationary(game, p, q, config):
     return ComparisonReport(gap, _tv_distance(report, v))
 
 
-def verify_extortion_empirically(game, p_extort, opponents, config, lam=None, delta=0.0):
+def verify_extortion_empirically(game, p_extort, opponents, config, delta=0.0):
     """Empirical extortion ratios of one strategy against many opponents.
 
     Opponent k runs with seed ``config.seed + k`` (recorded in the
@@ -186,7 +185,6 @@ def verify_extortion_empirically(game, p_extort, opponents, config, lam=None, de
                 lambda_hat=_ratio(report, delta, where=f"opponent {k}: "),
                 empirical_pi_alpha=report.empirical_pi_alpha,
                 empirical_pi_beta=report.empirical_pi_beta,
-                configured_lam=lam,
             )
         )
     return estimates

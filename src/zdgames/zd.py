@@ -29,6 +29,7 @@ import numpy as np
 from .chain import _check_pair, _joint, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
+    PROB_TOL,
     StateIndex,
     _payoff_vectors,
     _readonly,
@@ -37,7 +38,6 @@ from .model import (
     own_move_one_indicator,
 )
 
-FEASIBILITY_TOL = 1e-12
 DENOMINATOR_RTOL = 1e-12
 SCALE_RTOL = 1e-12
 
@@ -93,7 +93,7 @@ def _synthesis_result(player, n, m, raw):
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
         for s in range(n * m)
-        if raw[s] < -FEASIBILITY_TOL or raw[s] > 1.0 + FEASIBILITY_TOL
+        if raw[s] < -PROB_TOL or raw[s] > 1.0 + PROB_TOL
     )
     feasible = not violations
     p1 = np.clip(raw, 0.0, 1.0) if feasible else raw
@@ -118,7 +118,7 @@ def _feasible_scale(delta, g):
     return float(limits.min(initial=math.inf)), blocking
 
 
-def _zd_matrix(p, q):
+def _zd_matrix(p, q, game=None):
     """P - I after the two unilateral column operations.
 
     Adds every column whose next alpha-move is alpha_1 into the column of
@@ -126,11 +126,12 @@ def _zd_matrix(p, q):
     into the column of (alpha_1, beta_1); both operations read the original
     columns, which is exactly the sequential elementary-operation result.
     Callers overwrite the final column with the vector f of D(p, q, f).
+    Checks the pair, against ``game`` if given, as :func:`chain._check_pair`.
     """
+    _check_pair(p, q, game)
     n, m = p.n, p.m
     if n < 2 or m < 2:
         raise ValueError("determinant construction needs at least 2 moves per player")
-    _check_pair(p, q)
     M = _joint(p, q)
     M.ravel()[:: n * m + 1] -= 1.0  # a view of the diagonal: M is C-ordered
     M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
@@ -173,8 +174,7 @@ def score_combination(game, p, q, coeffs):
         When |D(p, q, 1)| falls below 1e-12 times a Hadamard bound of the
         constructed matrix, i.e. the chain's fixed space is degenerate.
     """
-    _check_pair(p, q, game)
-    D = _zd_matrix(p, q)
+    D = _zd_matrix(p, q, game)
     D[:, -1] = 1.0
     d_one = float(np.linalg.det(D))
     scale = max(1.0, float(np.sqrt(np.add.reduce(D * D, axis=0)).prod()))
@@ -273,12 +273,12 @@ class RelationCheck:
     holds: bool
 
 
-def verify_linear_relation(game, p, q, coeffs, tol=1e-9):
-    """|a*pi_alpha + b*pi_beta + c| via the stationary solve.
+def verify_linear_relation(game, p, q, coeffs):
+    """|a*pi_alpha + b*pi_beta + c| via the stationary solve; holds below 1e-9.
 
     Deliberately avoids the determinant path so the two computations stay
     independent cross-checks of each other.
     """
     scores = expected_scores(game, p, q)
     residual = abs(coeffs.a * scores.pi_alpha + coeffs.b * scores.pi_beta + coeffs.c)
-    return RelationCheck(residual, residual < tol)
+    return RelationCheck(residual, residual < 1e-9)

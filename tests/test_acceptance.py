@@ -197,7 +197,7 @@ def test_criterion_6_extortion_exact_and_monte_carlo():
     start = time.perf_counter()
     opponents = [rand_strategy(rng, "beta", 2, 2) for _ in range(20)]
     config = SimulationConfig(rounds=1_000_000, seed=97)
-    estimates = verify_extortion_empirically(game, p, opponents, config, lam=2.0)
+    estimates = verify_extortion_empirically(game, p, opponents, config)
     elapsed = time.perf_counter() - start
     off = max(abs(e.lambda_hat - 2.0) for e in estimates)
     _verdict(

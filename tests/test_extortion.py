@@ -129,10 +129,6 @@ class TestExtortionStrategy:
             scores = expected_scores(game, p, q)
             assert abs((scores.pi_alpha - nn) - lam * (scores.pi_beta - nn)) < 1e-9
 
-    def test_custom_offset_rejected(self):
-        with pytest.raises(ValueError, match="offset"):
-            extortion_strategy(chicken_family(0.5), ExtortionParams(2.0, 0.1, delta=0.5))
-
     def test_requires_symmetric(self, rng):
         game = make_game(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         with pytest.raises(ValueError, match="symmetric"):

@@ -170,10 +170,6 @@ class TestMakeStrategy:
         with pytest.raises(ValueError):
             make_strategy("alpha", np.ones(4))
 
-    def test_renormalize(self):
-        p = make_strategy("alpha", [[0.5, 0.1]] * 4, renormalize=True)
-        assert np.allclose(p.rows.sum(axis=1), 1.0)
-
     def test_beta_native_reindex(self):
         # native rows are (beta_j, alpha_i)-major; row (j, i) one-hot at (j + i) mod 3
         n, m = 2, 3

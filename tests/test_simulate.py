@@ -145,18 +145,17 @@ class TestVerifyExtortion:
         p = extortion_strategy(game, ExtortionParams(2.0, 0.1)).complete()
         opponents = [rand_strategy(rng, "beta", 2, 2) for _ in range(3)]
         config = SimulationConfig(rounds=10**5, seed=42)
-        estimates = verify_extortion_empirically(game, p, opponents, config, lam=2.0)
+        estimates = verify_extortion_empirically(game, p, opponents, config)
         assert [e.seed for e in estimates] == [42, 43, 44]
         for estimate in estimates:
             assert 1.9 < estimate.lambda_hat < 2.1
-            assert estimate.configured_lam == 2.0
 
     def test_fair_strategy_ratio_near_one(self, rng):
         game = chicken_family(0.5)
         p = extortion_strategy(game, ExtortionParams(1.0, 0.1)).complete()
         opponents = [rand_strategy(rng, "beta", 2, 2) for _ in range(3)]
         estimates = verify_extortion_empirically(
-            game, p, opponents, SimulationConfig(rounds=10**5, seed=7), lam=1.0
+            game, p, opponents, SimulationConfig(rounds=10**5, seed=7)
         )
         for estimate in estimates:
             assert abs(estimate.lambda_hat - 1.0) < 0.05

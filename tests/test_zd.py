@@ -351,7 +351,7 @@ class TestVerifyLinearRelation:
         for _ in range(100):
             p = rand_strategy(rng, "alpha", 2, 2)
             q = rand_strategy(rng, "beta", 2, 2)
-            if verify_linear_relation(game, p, q, coeffs, tol=1e-6).residual > 1e-6:
+            if verify_linear_relation(game, p, q, coeffs).residual > 1e-6:
                 exceed += 1
         assert exceed >= 95
 
