@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniqueStationary
+from .errors import InaccurateStationary, NonUniqueStationary
 from .model import PROB_TOL, _payoff_vectors, _readonly
 
 ROW_SUM_TOL = 1e-10
@@ -132,6 +132,9 @@ def stationary(P):
         If P - I has more than one vanishing singular value (relative
         threshold 1e-10), i.e. the chain is reducible or periodic and the
         long-run outcome depends on the starting state.
+    InaccurateStationary
+        If the fallback too leaves mass below -1e-12 or a residual above
+        1e-9: the chain is too close to degenerate for double precision.
     """
     M = P.entries - np.eye(P.entries.shape[0])
     corank = _corank(M)
@@ -154,12 +157,14 @@ def stationary(P):
         v = _null_left(M)
     lo = v.min()
     if lo < -PROB_TOL:
-        raise ArithmeticError(f"stationary solve produced mass {lo!r} below -{PROB_TOL}")
+        raise InaccurateStationary(
+            f"stationary solve produced mass {float(lo)!r} below -{PROB_TOL}"
+        )
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
     v = v / v.sum()
     if np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL:
-        raise ArithmeticError("stationary residual above tolerance after fallback")
+        raise InaccurateStationary("stationary residual above tolerance after fallback")
     return StationaryDistribution(_readonly(v), corank == 1)
 
 
@@ -193,7 +198,7 @@ def zd_feasibility_condition(P):
     cof = cofactor_row(P)
     c = cof.c
     one_signed = bool((c >= -1e-12).all() or (c <= 1e-12).all())
-    holds = abs(c.sum()) > 1e-10 and one_signed
+    holds = bool(abs(c.sum()) > 1e-10) and one_signed
     return FeasibilityReport(holds, cof)
 
 

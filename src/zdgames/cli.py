@@ -10,8 +10,8 @@ Subcommands::
     scan      feasibility and residual grid over (lambda, theta)
 
 Exit codes are a stable contract: 0 success, 1 infeasible or no solution,
-2 degenerate input (non-unique stationary distribution, degenerate ratio),
-3 I/O, schema or usage errors.
+2 degenerate input (non-unique or inaccurate stationary distribution,
+degenerate ratio), 3 I/O, schema or usage errors.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .documents import load_game, load_strategy, save_strategy
 from .errors import (
     DegenerateDenominator,
     DegenerateRatio,
+    InaccurateStationary,
     NoFeasiblePin,
     NonUniqueStationary,
     SchemaError,
@@ -74,6 +75,7 @@ _EXIT_CODES = {
     OSError: EXIT_SCHEMA,
     ValueError: EXIT_SCHEMA,
     NonUniqueStationary: EXIT_DEGENERATE,
+    InaccurateStationary: EXIT_DEGENERATE,
     DegenerateDenominator: EXIT_DEGENERATE,
     DegenerateRatio: EXIT_DEGENERATE,
     NoFeasiblePin: EXIT_INFEASIBLE,
@@ -304,6 +306,8 @@ def cmd_simulate(args):
         print(f"tv distance to exact stationary: {tv!r}")
     except NonUniqueStationary:
         print("exact stationary unavailable (non-unique); skipping comparison")
+    except InaccurateStationary:
+        print("exact stationary unavailable (inaccurate); skipping comparison")
 
     if args.lam is not None:
         lambda_hat = _ratio(report, args.delta)

@@ -27,6 +27,15 @@ class NonUniqueStationary(ZDGamesError):
         super().__init__(message)
 
 
+class InaccurateStationary(ZDGamesError):
+    """The stationary solve cannot meet its tolerances in double precision.
+
+    Raised when both the direct solve and the SVD fallback leave mass below
+    -1e-12 or a residual above 1e-9: the chain is unique by the corank test
+    but too close to degenerate for its stationary vector to be resolved.
+    """
+
+
 class DegenerateDenominator(ZDGamesError):
     """The normalizing determinant D(p, q, 1) is numerically zero."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _payoff_vectors, own_move_one_indicator
-from .zd import _check_extortion, _feasible_scale, _synthesis_result
+from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis_result
 
 CONDITION_TOL = 1e-12
 
@@ -38,7 +38,7 @@ LAST_ROW = "last-row"
 
 @dataclass(frozen=True)
 class ExtortionParams:
-    """Extortion factor ``lam`` >= 1 and scale ``theta`` > 0.
+    """Finite extortion factor ``lam`` >= 1 and scale ``theta`` > 0.
 
     The offset is always the game's a_nn; use the coefficient route in
     :mod:`zdgames.zd` for arbitrary offsets.
@@ -105,6 +105,7 @@ def _extortion_vectors(game):
 
 def _extortion_scale(game, lam):
     """theta_max and the violated condition ids for the factor ``lam``."""
+    _check_factor(lam)
     _require_normalized(_require_symmetric(game))
     delta, u, w = _extortion_vectors(game)
     limit, blocking = _feasible_scale(delta, u - lam * w)

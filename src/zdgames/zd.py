@@ -51,6 +51,10 @@ class ZDCoefficients:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
+            raise ValueError(
+                f"coefficients must be finite, got a={self.a}, b={self.b}, c={self.c}"
+            )
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise ValueError("coefficients must not all vanish")
 
@@ -67,7 +71,8 @@ class SynthesisResult:
     alpha-major state order (also for beta).  When every entry lies in
     [0, 1] up to 1e-12 the result is feasible, boundary values are clamped,
     and ``violations`` is empty; otherwise ``violations`` lists the
-    offending (state, value) pairs and ``p1`` is left unclamped.
+    offending (state, value) pairs, NaN entries among them, and ``p1`` is
+    left unclamped.
     """
 
     player: str
@@ -93,7 +98,7 @@ def _synthesis_result(player, n, m, raw):
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
         for s in range(n * m)
-        if raw[s] < -PROB_TOL or raw[s] > 1.0 + PROB_TOL
+        if not -PROB_TOL <= raw[s] <= 1.0 + PROB_TOL  # NaN fails it too
     )
     feasible = not violations
     p1 = np.clip(raw, 0.0, 1.0) if feasible else raw
@@ -247,10 +252,19 @@ def pin_opponent_score(game, pinner, target):
     )
 
 
+def _check_factor(lam):
+    """ValueError unless the extortion factor lam is finite."""
+    if not math.isfinite(lam):
+        raise ValueError(f"extortion factor must be finite, got {lam}")
+
+
 def _check_extortion(lam, theta):
-    """ValueError unless the extortion factor lam >= 1 and the scale theta > 0."""
+    """ValueError unless lam is a finite factor >= 1 and theta a finite scale > 0."""
+    _check_factor(lam)
     if lam < 1.0:
         raise ValueError(f"extortion factor must be at least 1, got {lam}")
+    if not math.isfinite(theta):
+        raise ValueError(f"scale theta must be finite, got {theta}")
     if theta <= 0.0:
         raise ValueError(f"scale theta must be positive, got {theta}")
 

@@ -54,6 +54,77 @@ def rand_mixed_pure_strategy(rng, player, n, m, mixed_share):
     return make_strategy(player, rows, order="alpha-major")
 
 
+# a 3x3 pair from the near-pure generator (seed 12, draw 150) whose chain
+# defeats double precision: P - I has one tiny singular value (2.5e-18, the
+# next is 2.3e-8), so the chain passes as unique, yet the LU solve and the SVD fallback both leave about
+# -1.2e-9 of stationary mass on one state
+NEAR_DEGENERATE_3X3 = {
+    "A": [[1.1003729768060178, 0.5716344400306443, -0.10127756762260326],
+          [1.5841558877632465, -0.694719531802558, -0.22116575414363146],
+          [-0.6057484912319621, -0.42182679525676403, -0.33992404588082936]],
+    "B": [[-0.4240484493895286, 2.719216081972907, -0.5422286416732707],
+          [0.30496654950028285, 0.22039011228242705, 0.40690655809256465],
+          [-1.016537779802029, -0.43083438834090837, -0.24506240575650373]],
+    "p": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+          [3.412054053382522e-07, 0.9999994154794759, 2.433151188113522e-07],
+          [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+          [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "q": [[0.9999999677284904, 9.277309176882233e-09, 2.2994200443872113e-08],
+          [0.9999999999998305, 7.217132411603277e-14, 9.740165969591988e-14],
+          [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+          [1.919287639987022e-09, 2.4962426964505495e-09, 0.9999999955844696],
+          [3.0944346342474145e-13, 0.9999999999991879, 5.027205079574469e-13],
+          [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+}
+
+
+def near_degenerate_3x3():
+    """(game, p, q) of :data:`NEAR_DEGENERATE_3X3`."""
+    case = NEAR_DEGENERATE_3X3
+    return (
+        make_game(case["A"], case["B"]),
+        make_strategy("alpha", case["p"], order="alpha-major"),
+        make_strategy("beta", case["q"], order="alpha-major"),
+    )
+
+
+def near_pure_rows(k, size):
+    """Hypothesis strategy for ``size`` near-pure rows over ``k`` moves.
+
+    Each row is a pure move e_j, or (1 - eps) * e_j + eps * w with
+    eps = 10^x, x in [-14, -6], and w a point of the simplex: chains on the
+    edge of reducibility, where the stationary solve loses its digits.
+    """
+    weights = st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)
+    blur = st.none() | st.tuples(st.floats(-14.0, -6.0), weights)
+
+    def row(args):
+        j, noise = args
+        r = np.zeros(k)
+        r[j] = 1.0
+        if noise is not None:
+            eps = 10.0 ** noise[0]
+            w = np.array(noise[1])
+            r = (1.0 - eps) * r + eps * (w / w.sum())
+        return r
+
+    one = st.tuples(st.integers(0, k - 1), blur).map(row)
+    return st.lists(one, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def near_pure_pairs(draw):
+    """Hypothesis strategy for (game, p, q): normal payoffs, near-pure rows, 2x2..3x3."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    payoffs = st.floats(-3.0, 3.0)
+    A = draw(st.lists(payoffs, min_size=n * m, max_size=n * m))
+    B = draw(st.lists(payoffs, min_size=n * m, max_size=n * m))
+    game = make_game(np.reshape(A, (n, m)), np.reshape(B, (m, n)))
+    p = make_strategy("alpha", draw(near_pure_rows(n, n * m)), order="alpha-major")
+    q = make_strategy("beta", draw(near_pure_rows(m, n * m)), order="alpha-major")
+    return game, p, q
+
+
 def adjugate_last_row_minors(M):
     """Last row of Adj(M) from explicit signed minors, the textbook definition.
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zdgames import (
+    InaccurateStationary,
     NonUniqueStationary,
     SimulationConfig,
     TransitionMatrix,
@@ -18,7 +19,13 @@ from zdgames import (
 )
 import zdgames.chain as chain_module
 
-from helpers import adjugate_last_row_minors, rand_game, rand_mixed_pure_strategy, rand_strategy
+from helpers import (
+    adjugate_last_row_minors,
+    near_degenerate_3x3,
+    rand_game,
+    rand_mixed_pure_strategy,
+    rand_strategy,
+)
 
 
 def always(player, move, n, m):
@@ -223,6 +230,20 @@ class TestStationaryFallback:
         self.check_fallback(rng, monkeypatch, lambda A, b: np.eye(len(b))[0])
 
 
+class TestInaccurateStationary:
+    def test_near_degenerate_chain_raises(self):
+        _, p, q = near_degenerate_3x3()
+        with pytest.raises(InaccurateStationary) as exc:
+            stationary(transition_matrix(p, q))
+        # the offending mass prints as a plain float
+        assert str(exc.value).startswith("stationary solve produced mass -1.1585")
+        assert str(exc.value).endswith("e-09 below -1e-12")
+
+    def test_expected_scores_raises(self):
+        with pytest.raises(InaccurateStationary):
+            expected_scores(*near_degenerate_3x3())
+
+
 class TestFeasibilityCondition:
     def test_ergodic_holds(self, rng):
         for _ in range(5):
@@ -234,6 +255,12 @@ class TestFeasibilityCondition:
 
     def test_identity_fails(self):
         assert not zd_feasibility_condition(identity_chain()).holds
+
+    def test_verdict_is_a_python_bool(self, rng):
+        interior = transition_matrix(rand_strategy(rng, "alpha", 2, 2),
+                                     rand_strategy(rng, "beta", 2, 2))
+        for P in (identity_chain(), interior):
+            assert type(zd_feasibility_condition(P).holds) is bool
 
     def test_absorbing_holds(self):
         P = transition_matrix(always("alpha", 1, 2, 2), always("beta", 1, 2, 2))

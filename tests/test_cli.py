@@ -16,7 +16,7 @@ from zdgames import (
 )
 from zdgames.cli import main
 
-from helpers import rand_strategy
+from helpers import near_degenerate_3x3, rand_strategy
 
 
 @pytest.fixture
@@ -51,6 +51,15 @@ def repeat_pair(tmp_path):
     return str(p_path), str(q_path)
 
 
+def near_degenerate_paths(tmp_path):
+    game, p, q = near_degenerate_3x3()
+    paths = [tmp_path / "nd_game.json", tmp_path / "nd_p.json", tmp_path / "nd_q.json"]
+    save_game(game, paths[0])
+    save_strategy(p, paths[1])
+    save_strategy(q, paths[2])
+    return [str(path) for path in paths]
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -75,6 +84,12 @@ class TestAnalyze:
         p_path, q_path = repeat_pair(tmp_path)
         assert main(["analyze", chicken_path, p_path, q_path]) == 2
         assert "non-unique stationary" in capsys.readouterr().err
+
+    def test_near_degenerate_chain_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", *near_degenerate_paths(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stationary solve produced mass -1.1585")
+        assert "np.float64" not in err and "Traceback" not in err
 
     def test_missing_file_exits_3(self, tmp_path, chicken_path):
         assert main(["analyze", chicken_path, str(tmp_path / "nope.json"),
@@ -132,6 +147,10 @@ class TestZd:
     def test_zero_coefficients_exit_3(self, chicken_path):
         assert main(["zd", chicken_path, "0", "0", "0"]) == 3
 
+    def test_infinite_coefficient_exits_3(self, chicken_path, capsys):
+        assert main(["zd", chicken_path, "inf", "0", "0"]) == 3
+        assert "coefficients must be finite" in capsys.readouterr().err
+
 
 class TestExtort:
     def test_bounds(self, chicken_path, capsys):
@@ -174,6 +193,19 @@ class TestExtort:
     def test_theta_required(self, chicken_path, capsys):
         assert main(["extort", chicken_path, "--lambda", "2"]) == 3
         assert "--theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_factor_exits_3(self, chicken_path, capsys, lam):
+        assert main(["extort", chicken_path, "--lambda", lam, "--theta-max"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"extortion factor must be finite, got {lam}" in captured.err
+
+    def test_nan_theta_exits_3(self, chicken_path, capsys):
+        assert main(["extort", chicken_path, "--lambda", "2", "--theta", "nan"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale theta must be finite, got nan" in captured.err
 
 
 class TestPin:
@@ -246,6 +278,14 @@ class TestSimulate:
         assert code == 2
         assert "ratio undefined" in capsys.readouterr().err
 
+    def test_near_degenerate_skips_comparison(self, tmp_path, capsys):
+        code = main(["simulate", *near_degenerate_paths(tmp_path), "--rounds", "1000"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "exact stationary unavailable (inaccurate); skipping comparison" in captured.out
+        assert "tv distance" not in captured.out
+        assert captured.err == ""
+
     def test_zero_rounds_usage_error(self, tmp_path, chicken_path):
         p_path, q_path = uniform_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -276,6 +316,12 @@ class TestScan:
         out = str(tmp_path / "scan.csv")
         assert main(["scan", chicken_path, "--lambda-grid", "0.5,2", "--out", out]) == 3
         assert "at least 1" in capsys.readouterr().err
+
+    def test_nan_grid_exits_3(self, tmp_path, chicken_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", chicken_path, "--lambda-grid", "nan", "--out", str(out)]) == 3
+        assert "extortion factor must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_usage_error(self, tmp_path, chicken_path):
         with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,14 @@ class TestParams:
         with pytest.raises(ValueError):
             ExtortionParams(2.0, 0.0)
 
+    @pytest.mark.parametrize("lam, theta", [(math.nan, 0.1), (math.inf, 0.1),
+                                            (2.0, math.nan), (2.0, math.inf)])
+    def test_non_finite_rejected(self, lam, theta):
+        with pytest.raises(ValueError, match="must be finite"):
+            ExtortionParams(lam, theta)
+        with pytest.raises(ValueError, match="must be finite"):
+            chicken_extortion(0.5, lam, theta)
+
 
 class TestCheckFactor:
     def test_chicken_two_admissible(self):
@@ -62,6 +70,13 @@ class TestCheckFactor:
         game = make_game(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         with pytest.raises(ValueError, match="symmetric"):
             check_extortion_factor(game, 2.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, lam):
+        game = chicken_family(0.5)
+        for check in (check_extortion_factor, theta_max):
+            with pytest.raises(ValueError, match="extortion factor must be finite"):
+                check(game, lam)
 
     def test_requires_normalized_diagonal(self):
         with pytest.raises(ValueError, match="relabel"):

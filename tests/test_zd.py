@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from zdgames import (
     transition_matrix,
     verify_linear_relation,
 )
-from zdgames.zd import _zd_matrix
+from zdgames.zd import _synthesis_result, _zd_matrix
 
 from helpers import SCALES, SHIFTS, feasible_zd_instance, payoff_grid, rand_game, rand_strategy
 
@@ -35,6 +37,12 @@ class TestCoefficients:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             ZDCoefficients(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for coeffs in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                ZDCoefficients(*coeffs)
 
     def test_combine(self):
         coeffs = ZDCoefficients(2.0, -1.0, 0.5)
@@ -208,6 +216,13 @@ class TestSynthesis:
         assert verify_linear_relation(game, scaled.complete(), q, half).holds
 
 
+    def test_nan_entry_is_a_violation(self):
+        result = _synthesis_result("alpha", 2, 2, np.array([0.5, math.nan, 1.0, 0.0]))
+        assert not result.feasible
+        assert [state.flat for state, _ in result.violations] == [1]
+        assert math.isnan(result.violations[0][1])
+
+
 class TestPinning:
     def test_pd_target_two(self):
         result, coeffs = pin_opponent_score(PD, "alpha", 2.0)
@@ -333,6 +348,12 @@ class TestExtortionCoefficients:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             extortion_coefficients(2.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam, theta", [(math.nan, 0.1), (math.inf, 0.1),
+                                            (2.0, math.nan), (2.0, math.inf)])
+    def test_rejects_non_finite(self, lam, theta):
+        with pytest.raises(ValueError, match="must be finite"):
+            extortion_coefficients(lam, 0.0, theta)
 
 
 class TestVerifyLinearRelation:
