@@ -19,6 +19,9 @@ from .errors import DegenerateRatio
 from .model import StateIndex, _readonly
 
 RATIO_TOL = 1e-9
+# rounds drawn per rng.random call: memory stays bounded for long runs, and
+# PCG64 yields the same uniforms however the draws are split
+_DRAW_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,19 @@ def play(game, p, q, config):
     # a chain that must be stepped sequentially anyway
     cum_p = [row.cumsum().tolist() for row in p.rows]
     cum_q = [row.cumsum().tolist() for row in q.rows]
-    draws = rng.random((config.rounds - 1, 2))
 
     counts = [0] * (n * m)
     if burn_in == 0:
         counts[state] += 1
-    for t in range(config.rounds - 1):
-        u_alpha, u_beta = draws[t]
-        move_a = min(bisect_right(cum_p[state], u_alpha), n - 1)
-        move_b = min(bisect_right(cum_q[state], u_beta), m - 1)
-        state = move_a * m + move_b
-        if t + 2 > burn_in:
-            counts[state] += 1
+    for first in range(0, config.rounds - 1, _DRAW_BLOCK):
+        draws = rng.random((min(_DRAW_BLOCK, config.rounds - 1 - first), 2))
+        # draw row k of this block plays round first + k + 2
+        for t, (u_alpha, u_beta) in enumerate(draws, first + 2):
+            move_a = min(bisect_right(cum_p[state], u_alpha), n - 1)
+            move_b = min(bisect_right(cum_q[state], u_beta), m - 1)
+            state = move_a * m + move_b
+            if t > burn_in:
+                counts[state] += 1
 
     counted = config.rounds - burn_in
     freq = np.asarray(counts, dtype=float) / counted

@@ -1,7 +1,9 @@
 """Seeded ``play`` against state counts recorded by make_play_golden.py.
 
-Every run must reproduce its recorded integer tallies exactly.  Rerun the
-script only when the simulated stream is meant to change.
+Every run must reproduce its recorded integer tallies exactly, also when
+the uniforms are drawn in blocks of 7 rows, which puts block boundaries
+inside and at the end of runs.  Rerun the script only when the simulated
+stream is meant to change.
 """
 
 import json
@@ -10,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from zdgames import play
+from zdgames import play, simulate
 
 from make_play_golden import config, counts, instance
 
@@ -38,3 +40,9 @@ def check(record):
 def test_counts(record):
     check(record)
 
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=case_id)
+def test_counts_in_small_blocks(record, monkeypatch):
+    monkeypatch.setattr(simulate, "_DRAW_BLOCK", 7)
+    check(record)
