@@ -56,8 +56,8 @@ def rand_mixed_pure_strategy(rng, player, n, m, mixed_share):
 
 # a 3x3 pair from the near-pure generator (seed 12, draw 150) whose chain
 # defeats double precision: P - I has one tiny singular value (2.5e-18, the
-# next is 2.3e-8), so the chain passes as unique, yet the LU solve and the SVD fallback both leave about
-# -1.2e-9 of stationary mass on one state
+# next is 2.3e-8), so the chain passes as unique, yet the LU solve and the
+# SVD fallback both leave about -1.2e-9 of stationary mass on one state
 NEAR_DEGENERATE_3X3 = {
     "A": [[1.1003729768060178, 0.5716344400306443, -0.10127756762260326],
           [1.5841558877632465, -0.694719531802558, -0.22116575414363146],

@@ -239,10 +239,6 @@ class TestInaccurateStationary:
         assert str(exc.value).startswith("stationary solve produced mass -1.1585")
         assert str(exc.value).endswith("e-09 below -1e-12")
 
-    def test_expected_scores_raises(self):
-        with pytest.raises(InaccurateStationary):
-            expected_scores(*near_degenerate_3x3())
-
 
 class TestFeasibilityCondition:
     def test_ergodic_holds(self, rng):
