@@ -106,11 +106,9 @@ def _joint(p, q):
     return joint.reshape(p.n * p.m, -1)
 
 
-def _corank(M):
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return M.shape[0]
-    return int(np.count_nonzero(sv < CORANK_RTOL * sv[0]))
+def _corank(sv):
+    """The one degenerate-chain test: how many singular values of P - I vanish."""
+    return int(np.count_nonzero(sv <= CORANK_RTOL * sv[0]))  # the identity gives N
 
 
 def _null_left(M):
@@ -124,7 +122,7 @@ def stationary(P):
 
     Replaces the last equation of (P - I)^T x = 0 with the normalization
     and solves the dense system directly; falls back, once, to the SVD null
-    vector if that system is singular or its solution fails the residual check.
+    vector if that system is singular or its solution is not accepted.
 
     Raises
     ------
@@ -133,73 +131,68 @@ def stationary(P):
         threshold 1e-10), i.e. the chain is reducible or periodic and the
         long-run outcome depends on the starting state.
     InaccurateStationary
-        If the fallback too leaves mass below -1e-12 or a residual above
-        1e-9: the chain is too close to degenerate for double precision.
+        If the fallback is not accepted either: the chain is too close to
+        degenerate for double precision.
     """
     M = P.entries - np.eye(P.entries.shape[0])
-    corank = _corank(M)
+    corank = _corank(np.linalg.svd(M, compute_uv=False))
     if corank > 1:
         raise NonUniqueStationary(corank)
 
     A = M.T.copy()
     A[-1, :] = 1.0
-    rhs = np.zeros(A.shape[0])
-    rhs[-1] = 1.0
     try:
-        v = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        v = None
-    if (
-        v is None
-        or np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL
-        or v.min() < -PROB_TOL
-    ):
-        v = _null_left(M)
+        v = _accepted(np.linalg.solve(A, np.eye(A.shape[0])[-1]), P)
+    except (np.linalg.LinAlgError, InaccurateStationary):
+        v = _accepted(_null_left(M), P)
+    return StationaryDistribution(_readonly(v), corank == 1)
+
+
+def _accepted(v, P):
+    """``v`` clipped to >= 0 and normalized; InaccurateStationary if it is not stationary."""
     lo = v.min()
-    if lo < -PROB_TOL:
+    if not lo >= -PROB_TOL:
         raise InaccurateStationary(
             f"stationary solve produced mass {float(lo)!r} below -{PROB_TOL}"
         )
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
     v = v / v.sum()
-    if np.abs(v @ P.entries - v).max() > STATIONARY_RESIDUAL_TOL:
+    if not np.abs(v @ P.entries - v).max() <= STATIONARY_RESIDUAL_TOL:
         raise InaccurateStationary("stationary residual above tolerance after fallback")
-    return StationaryDistribution(_readonly(v), corank == 1)
+    return v
 
 
 def cofactor_row(P):
     """Last row of Adj(P - I).
 
-    Every row of the adjugate of a singular corank-1 matrix is proportional
-    to the left null vector, so this row is a scaled copy of the stationary
-    distribution whenever one exists uniquely.  For corank > 1 the adjugate
-    vanishes, and the row is round-off (about 1e-17 for a 2x2 chain with two
-    absorbing states; exact zeros only when a singular value is exactly 0, as
-    for the identity), which :func:`zd_feasibility_condition` rejects by its
-    1e-10 test on the sum.
+    For a unique stationary distribution the row is a scaled copy of it of
+    sign (-1)^(N-1): by the Markov chain tree theorem (Leighton & Rivest
+    1986) Adj(I - P) >= 0, with a positive sum exactly then.  For corank > 1
+    the adjugate vanishes: round-off of either sign, zeros for the identity.
     """
-    M = P.entries - np.eye(P.entries.shape[0])
-    # Adj(M) = det(U V^T) * prod(leading singular values) * outer(V[:,-1], U[:,-1])
-    # for corank-1 M; higher corank makes the product (hence the row) vanish.
-    u, sv, vt = np.linalg.svd(M)
-    sign = np.sign(np.linalg.det(u @ vt))
-    scale = sign * sv[:-1].prod()
-    return CofactorVector(_readonly(scale * vt[-1, -1] * u[:, -1]))
+    return CofactorVector(_adjugate_row(P)[0])
+
+
+def _adjugate_row(P):
+    """(read-only cofactor row, singular values of P - I) from one SVD."""
+    u, sv, vt = np.linalg.svd(P.entries - np.eye(P.entries.shape[0]))
+    # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
+    scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
+    return _readonly(scale * vt[-1, -1] * u[:, -1]), sv
 
 
 def zd_feasibility_condition(P):
     """One-signedness test for the cofactor row.
 
-    Linear score relations can be enforced only when the cofactor sum is
-    nonzero and the entries do not change sign; holds exactly when both are
-    true (tolerances 1e-10 on the sum, 1e-12 on the sign test).
+    Linear score relations need D(p, q, 1), the row's sum, nonzero (by the
+    tree theorem, :func:`stationary`'s corank test, and the sum not exactly
+    0.0) and entries that do not change sign (tolerance 1e-12).
     """
-    cof = cofactor_row(P)
-    c = cof.c
-    one_signed = bool((c >= -1e-12).all() or (c <= 1e-12).all())
-    holds = bool(abs(c.sum()) > 1e-10) and one_signed
-    return FeasibilityReport(holds, cof)
+    c, sv = _adjugate_row(P)
+    one_signed = (c >= -1e-12).all() or (c <= 1e-12).all()
+    holds = bool(_corank(sv) == 1 and c.sum() != 0.0 and one_signed)
+    return FeasibilityReport(holds, CofactorVector(c))
 
 
 def expected_scores(game, p, q):

@@ -50,6 +50,7 @@ from .model import FILL_RULES, make_strategy
 from .simulate import SimulationConfig, _ratio, _tv_distance, play
 from .zd import (
     ZDCoefficients,
+    _check_factor,
     extortion_coefficients,
     pin_opponent_score,
     press_dyson_determinant,
@@ -288,6 +289,8 @@ def cmd_pin(args):
 
 
 def cmd_simulate(args):
+    if args.lam is not None:
+        _check_factor(args.lam)
     game = load_game(args.game)
     p = _load_expected(args.p, "alpha", game)
     q = _load_expected(args.q, "beta", game)

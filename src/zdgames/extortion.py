@@ -216,6 +216,7 @@ def n2_conditions(game, lam):
     spread so the verdict does not depend on the payoff scale; agrees with
     :func:`check_extortion_factor` on every symmetric 2x2 game.
     """
+    _check_factor(lam)
     A = _require_symmetric(game)
     if game.n != 2:
         raise ValueError(f"two-strategy test on an {game.n}x{game.n} game")

@@ -140,6 +140,8 @@ def play(game, p, q, config):
 
 def _ratio(report, delta, where=""):
     """Empirical (pi_alpha - delta) / (pi_beta - delta), checked against RATIO_TOL."""
+    if not np.isfinite(delta):
+        raise ValueError(f"offset delta must be finite, got {delta}")
     denominator = report.empirical_pi_beta - delta
     if abs(denominator) < RATIO_TOL:
         raise DegenerateRatio(

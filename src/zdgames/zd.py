@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_pair, _joint, expected_scores
+from .chain import _check_pair, _corank, _joint, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -38,7 +38,6 @@ from .model import (
     own_move_one_indicator,
 )
 
-DENOMINATOR_RTOL = 1e-12
 SCALE_RTOL = 1e-12
 
 
@@ -131,14 +130,22 @@ def _zd_matrix(p, q, game=None):
     into the column of (alpha_1, beta_1); both operations read the original
     columns, which is exactly the sequential elementary-operation result.
     Callers overwrite the final column with the vector f of D(p, q, f).
-    Checks the pair, against ``game`` if given, as :func:`chain._check_pair`.
     """
+    return _unilateral_columns(_minus_identity(p, q, game), p.m)
+
+
+def _minus_identity(p, q, game=None):
+    """P - I, a new C-ordered array; checks the pair as :func:`chain._check_pair`."""
     _check_pair(p, q, game)
-    n, m = p.n, p.m
-    if n < 2 or m < 2:
+    if p.n < 2 or p.m < 2:
         raise ValueError("determinant construction needs at least 2 moves per player")
     M = _joint(p, q)
-    M.ravel()[:: n * m + 1] -= 1.0  # a view of the diagonal: M is C-ordered
+    M.ravel()[:: p.n * p.m + 1] -= 1.0  # a view of the diagonal: M is C-ordered
+    return M
+
+
+def _unilateral_columns(M, m):
+    """The column operations of :func:`_zd_matrix`, in place on P - I."""
     M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
     return M
 
@@ -176,17 +183,17 @@ def score_combination(game, p, q, coeffs):
     ValueError
         When p and q are not an alpha and a beta strategy for ``game``.
     DegenerateDenominator
-        When |D(p, q, 1)| falls below 1e-12 times a Hadamard bound of the
-        constructed matrix, i.e. the chain's fixed space is degenerate.
+        When :func:`chain.stationary`'s corank test finds more than one
+        vanishing singular value of P - I, or D(p, q, 1) is exactly 0.0.  By
+        the Markov chain tree theorem the two tests agree in exact arithmetic.
     """
-    D = _zd_matrix(p, q, game)
+    M = _minus_identity(p, q, game)
+    corank = _corank(np.linalg.svd(M, compute_uv=False))
+    D = _unilateral_columns(M, p.m)
     D[:, -1] = 1.0
     d_one = float(np.linalg.det(D))
-    scale = max(1.0, float(np.sqrt(np.add.reduce(D * D, axis=0)).prod()))
-    if abs(d_one) < DENOMINATOR_RTOL * scale:
-        raise DegenerateDenominator(
-            f"D(p, q, 1) = {d_one!r} is negligible against scale {scale!r}"
-        )
+    if corank > 1 or d_one == 0.0:
+        raise DegenerateDenominator(f"D(p, q, 1) = {d_one!r}; P - I has corank {corank}")
     D[:, -1] = _final_column(p, coeffs.combine(*_payoff_vectors(game)))
     return float(np.linalg.det(D)) / d_one
 

@@ -125,6 +125,22 @@ def near_pure_pairs(draw):
     return game, p, q
 
 
+@st.composite
+def seeded_pairs(draw, mixed_share=1.0, max_moves=3):
+    """Hypothesis strategy for (game, p, q) built by the seeded helpers below.
+
+    A drawn seed feeds :func:`rand_game` and :func:`rand_mixed_pure_strategy`
+    (interior rows at ``mixed_share`` 1); each player has 2 to ``max_moves``
+    moves.  Drawing a seed, not every entry, keeps an example cheap.
+    """
+    n, m = draw(st.integers(2, max_moves)), draw(st.integers(2, max_moves))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = rand_game(rng, n, m)
+    p = rand_mixed_pure_strategy(rng, "alpha", n, m, mixed_share)
+    q = rand_mixed_pure_strategy(rng, "beta", n, m, mixed_share)
+    return game, p, q
+
+
 def adjugate_last_row_minors(M):
     """Last row of Adj(M) from explicit signed minors, the textbook definition.
 

@@ -6,6 +6,7 @@ from zdgames import (
     NonUniqueStationary,
     SimulationConfig,
     TransitionMatrix,
+    ZDGamesError,
     chicken_family,
     cofactor_row,
     expected_scores,
@@ -192,6 +193,20 @@ class TestCofactorRow:
                 holds = abs(oracle.sum()) > 1e-10 and one_signed
                 assert zd_feasibility_condition(P).holds == holds
 
+    def test_sign_follows_tree_theorem(self, rng):
+        # Adj(I - P) >= 0 with a positive sum when v is unique, and
+        # Adj(P - I) = (-1)^(N-1) Adj(I - P)
+        for share in (1.0, 0.3):
+            for n, m in [(2, 2), (2, 3), (3, 3), (4, 3), (5, 5), (10, 10)] * 3:
+                p = rand_mixed_pure_strategy(rng, "alpha", n, m, share)
+                q = rand_mixed_pure_strategy(rng, "beta", n, m, share)
+                P = transition_matrix(p, q)
+                try:
+                    stationary(P)
+                except ZDGamesError:
+                    continue
+                assert np.sign(cofactor_row(P).c.sum()) == (-1) ** (n * m - 1)
+
     def test_large_chain_uses_svd_path(self, rng):
         # 4x4 game: 16 states, larger than any chain the minors oracle checks
         P = transition_matrix(rand_strategy(rng, "alpha", 4, 4), rand_strategy(rng, "beta", 4, 4))
@@ -257,6 +272,20 @@ class TestFeasibilityCondition:
                                      rand_strategy(rng, "beta", 2, 2))
         for P in (identity_chain(), interior):
             assert type(zd_feasibility_condition(P).holds) is bool
+
+    def test_zero_cofactor_row_fails(self):
+        # P is within 1e-7 of I, so the largest singular value of P - I is
+        # 6.5e-8 and a round-off one of 5.2e-17 passes the corank test; the
+        # row it gives is exactly zero, and D(p, q, 1) = 0 enforces nothing
+        P = TransitionMatrix((2, 2), [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.9999999544920568, 0.0, 4.550794318129011e-08],
+            [0.0, 0.0, 0.999999989543351, 1.0456648968944562e-08],
+            [0.0, 0.0, 2.1231947537247174e-10, 0.9999999997876806],
+        ])
+        report = zd_feasibility_condition(P)
+        assert not report.cofactors.c.any()
+        assert report.holds is False
 
     def test_absorbing_holds(self):
         P = transition_matrix(always("alpha", 1, 2, 2), always("beta", 1, 2, 2))

@@ -286,6 +286,20 @@ class TestSimulate:
         assert "tv distance" not in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lambda", "2", "--delta", "nan"], "offset delta must be finite, got nan"),
+        (["--lambda", "2", "--delta", "inf"], "offset delta must be finite, got inf"),
+        (["--lambda", "inf"], "extortion factor must be finite, got inf"),
+    ], ids=["delta-nan", "delta-inf", "lambda-inf"])
+    def test_non_finite_ratio_parameter_exits_3(self, tmp_path, chicken_path, capsys,
+                                                flags, message):
+        p_path, q_path = uniform_pair(tmp_path)
+        code = main(["simulate", chicken_path, p_path, q_path, "--rounds", "1000", *flags])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "lambda_hat" not in captured.out
+
     def test_zero_rounds_usage_error(self, tmp_path, chicken_path):
         p_path, q_path = uniform_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:

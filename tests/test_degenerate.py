@@ -5,6 +5,9 @@ by 1e-14..1e-6 towards the simplex, which puts the chain on the edge of
 reducibility.  Library calls may raise only ``ZDGamesError`` or
 ``ValueError``, and the CLI must return one of its exit codes 0-3.  pytest
 turns warnings into errors, so a numpy warning fails these properties too.
+The three exact verdicts on a degenerate chain (``stationary``'s
+uniqueness, ``holds`` and ``score_combination``'s denominator) must agree
+on these pairs and on interior ones.
 """
 
 import contextlib
@@ -13,9 +16,13 @@ import pathlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgames import (
+    DegenerateDenominator,
+    NonUniqueStationary,
     SimulationConfig,
     ZDCoefficients,
     ZDGamesError,
@@ -31,7 +38,7 @@ from zdgames import (
 )
 from zdgames.cli import main
 
-from helpers import near_pure_pairs
+from helpers import near_pure_pairs, seeded_pairs
 
 
 @given(near_pure_pairs())
@@ -50,6 +57,37 @@ def test_library_raises_only_documented_errors(pair):
             call()
         except (ZDGamesError, ValueError):
             pass
+
+
+@pytest.mark.parametrize(
+    "pairs", [near_pure_pairs(), seeded_pairs()], ids=["near-pure", "interior"]
+)
+@given(data=st.data())
+def test_degenerate_verdicts_agree(pairs, data):
+    # one corank test decides all three: by the Markov chain tree theorem
+    # D(p, q, 1) is nonzero exactly when the stationary distribution is unique
+    game, p, q = data.draw(pairs)
+    P = transition_matrix(p, q)
+
+    def raises(error, call, *args):
+        try:
+            call(*args)
+        except error:
+            return True
+        except ZDGamesError:
+            pass
+        return False
+
+    non_unique = raises(NonUniqueStationary, stationary, P)
+    degenerate = raises(DegenerateDenominator, score_combination, game, p, q,
+                        ZDCoefficients(1.0, -1.0, 0.0))
+    holds = zd_feasibility_condition(P).holds
+    if non_unique:
+        assert not holds and degenerate
+    if degenerate:
+        assert non_unique or press_dyson_determinant(p, q, np.ones(p.n * p.m)) == 0.0
+    if holds:
+        assert not non_unique
 
 
 @given(near_pure_pairs())

@@ -275,3 +275,9 @@ class TestN2Conditions:
             game = make_symmetric([[a11, entries[1]], [entries[2], a22]])
             lam = rng.uniform(1.0, 6.0)
             assert n2_conditions(game, lam) == check_extortion_factor(game, lam).ok
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, lam):
+        # as check_extortion_factor does, rather than returning a verdict
+        with pytest.raises(ValueError, match="extortion factor must be finite"):
+            n2_conditions(chicken_family(0.5), lam)

@@ -173,3 +173,13 @@ class TestVerifyExtortion:
             verify_extortion_empirically(
                 game, p, [q], SimulationConfig(rounds=10**4, seed=1)
             )
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_offset_rejected(self, rng, delta):
+        game = chicken_family(0.5)
+        p = extortion_strategy(game, ExtortionParams(2.0, 0.1)).complete()
+        q = rand_strategy(rng, "beta", 2, 2)
+        with pytest.raises(ValueError, match="offset delta must be finite"):
+            verify_extortion_empirically(
+                game, p, [q], SimulationConfig(rounds=1000, seed=1), delta=delta
+            )

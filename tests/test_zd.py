@@ -25,10 +25,19 @@ from zdgames import (
     synthesize_zd_beta,
     transition_matrix,
     verify_linear_relation,
+    zd_feasibility_condition,
 )
 from zdgames.zd import _synthesis_result, _zd_matrix
 
-from helpers import SCALES, SHIFTS, feasible_zd_instance, payoff_grid, rand_game, rand_strategy
+from helpers import (
+    SCALES,
+    SHIFTS,
+    feasible_zd_instance,
+    payoff_grid,
+    rand_game,
+    rand_mixed_pure_strategy,
+    rand_strategy,
+)
 
 PD = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
 
@@ -133,6 +142,19 @@ class TestScoreCombination:
         q = make_strategy("beta", q_rows, order="alpha-major")
         with pytest.raises(DegenerateDenominator):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(1, 0, 0))
+
+    def test_unique_10x10_mixed_pure_chain(self):
+        # |D(p, q, 1)| = 0.0068 is far below 1e-12 of the matrix's Hadamard
+        # bound (1.6e10), yet v is unique and the ratio is right to round-off
+        rng = np.random.default_rng(22)
+        game = rand_game(rng, 10, 10)
+        p = rand_mixed_pure_strategy(rng, "alpha", 10, 10, 0.3)
+        q = rand_mixed_pure_strategy(rng, "beta", 10, 10, 0.3)
+        assert zd_feasibility_condition(transition_matrix(p, q)).holds
+        scores = expected_scores(game, p, q)
+        expected = 0.5 * scores.pi_alpha - scores.pi_beta + 0.25
+        ratio = score_combination(game, p, q, ZDCoefficients(0.5, -1.0, 0.25))
+        assert abs(ratio - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_dimension_mismatch(self, rng):
         game = rand_game(rng, 2, 3)
