@@ -108,7 +108,8 @@ def _joint(p, q):
 
 def _corank(sv):
     """The one degenerate-chain test: how many singular values of P - I vanish."""
-    return int(np.count_nonzero(sv <= CORANK_RTOL * sv[0]))  # the identity gives N
+    # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
+    return int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
 
 
 def _null_left(M):
@@ -127,9 +128,9 @@ def stationary(P):
     Raises
     ------
     NonUniqueStationary
-        If P - I has more than one vanishing singular value (relative
-        threshold 1e-10), i.e. the chain is reducible or periodic and the
-        long-run outcome depends on the starting state.
+        If P - I has more than one singular value at most 1e-10 times the
+        largest or 1e-10, whichever is bigger, i.e. the chain is reducible or
+        periodic and the long-run outcome depends on the starting state.
     InaccurateStationary
         If the fallback is not accepted either: the chain is too close to
         degenerate for double precision.
@@ -141,8 +142,10 @@ def stationary(P):
 
     A = M.T.copy()
     A[-1, :] = 1.0
+    rhs = np.zeros(A.shape[0])
+    rhs[-1] = 1.0
     try:
-        v = _accepted(np.linalg.solve(A, np.eye(A.shape[0])[-1]), P)
+        v = _accepted(np.linalg.solve(A, rhs), P)
     except (np.linalg.LinAlgError, InaccurateStationary):
         v = _accepted(_null_left(M), P)
     return StationaryDistribution(_readonly(v), corank == 1)

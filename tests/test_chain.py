@@ -205,7 +205,12 @@ class TestCofactorRow:
                     stationary(P)
                 except ZDGamesError:
                     continue
-                assert np.sign(cofactor_row(P).c.sum()) == (-1) ** (n * m - 1)
+                c = cofactor_row(P).c
+                assert np.sign(c.sum()) == (-1) ** (n * m - 1)
+                # the largest entry against its signed minor, taken by LU, not SVD
+                k = int(np.argmax(np.abs(c)))
+                minor = np.delete(np.delete(P.entries - np.eye(n * m), k, 0), -1, 1)
+                assert np.sign(c[k]) == (-1) ** (k + n * m - 1) * np.sign(np.linalg.det(minor))
 
     def test_large_chain_uses_svd_path(self, rng):
         # 4x4 game: 16 states, larger than any chain the minors oracle checks
@@ -274,9 +279,10 @@ class TestFeasibilityCondition:
             assert type(zd_feasibility_condition(P).holds) is bool
 
     def test_zero_cofactor_row_fails(self):
-        # P is within 1e-7 of I, so the largest singular value of P - I is
-        # 6.5e-8 and a round-off one of 5.2e-17 passes the corank test; the
-        # row it gives is exactly zero, and D(p, q, 1) = 0 enforces nothing
+        # P is within 1e-7 of I and has two closed classes, {(1,1)} and
+        # {(2,1), (2,2)}: the largest singular value of P - I is 6.5e-8, so
+        # only the corank test's floor of 1e-10 rejects the round-off one of
+        # 5.2e-17; the row is exactly zero and enforces nothing
         P = TransitionMatrix((2, 2), [
             [1.0, 0.0, 0.0, 0.0],
             [0.0, 0.9999999544920568, 0.0, 4.550794318129011e-08],
@@ -286,6 +292,8 @@ class TestFeasibilityCondition:
         report = zd_feasibility_condition(P)
         assert not report.cofactors.c.any()
         assert report.holds is False
+        with pytest.raises(NonUniqueStationary):
+            stationary(P)
 
     def test_absorbing_holds(self):
         P = transition_matrix(always("alpha", 1, 2, 2), always("beta", 1, 2, 2))

@@ -27,6 +27,8 @@ from zdgames import (
     ZDCoefficients,
     ZDGamesError,
     expected_scores,
+    make_game,
+    make_strategy,
     play,
     press_dyson_determinant,
     save_game,
@@ -88,6 +90,47 @@ def test_degenerate_verdicts_agree(pairs, data):
         assert non_unique or press_dyson_determinant(p, q, np.ones(p.n * p.m)) == 0.0
     if holds:
         assert not non_unique
+
+
+def near_identity_rows(k, eps):
+    """k x k rows that keep the move with probability 1 - eps, else switch uniformly."""
+    return (1.0 - eps) * np.eye(k) + eps / (k - 1) * (1.0 - np.eye(k))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-11])
+def test_two_closed_classes_near_identity(eps):
+    # alpha never moves and beta rarely does: two closed classes of two
+    # states each.  Every singular value of P - I is 2 * eps or round-off
+    # near 1e-17, so only the corank test's floor of 1e-10 keeps the
+    # round-off ones from counting, and D(p, q, 1) from mixing the classes
+    game = make_game([[3.0, 0.0], [5.0, 1.0]], [[3.0, 0.0], [5.0, 1.0]])
+    p = make_strategy("alpha", np.repeat(np.eye(2), 2, axis=0), order="alpha-major")
+    q = make_strategy("beta", np.tile(near_identity_rows(2, eps), (2, 1)), order="alpha-major")
+    P = transition_matrix(p, q)
+    with pytest.raises(NonUniqueStationary):
+        stationary(P)
+    assert zd_feasibility_condition(P).holds is False
+    with pytest.raises(DegenerateDenominator):
+        score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+
+
+def test_underflowing_cofactors_enforce_nothing():
+    # 6x6, both players switch with probability 1.5e-10: v is uniform and
+    # unique (one singular value of P - I is round-off, the other 35 lie in
+    # 1.8e-10..3.6e-10), but their product, the cofactor scale, underflows
+    # to 0.0, and so does D(p, q, 1)
+    rng = np.random.default_rng(0)
+    game = make_game(rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
+    rows = near_identity_rows(6, 1.5e-10)
+    p = make_strategy("alpha", np.repeat(rows, 6, axis=0), order="alpha-major")
+    q = make_strategy("beta", np.tile(rows, (6, 1)), order="alpha-major")
+    P = transition_matrix(p, q)
+    assert np.allclose(stationary(P).v, 1.0 / 36, rtol=1e-5, atol=0)
+    report = zd_feasibility_condition(P)
+    assert not report.cofactors.c.any()
+    assert report.holds is False
+    with pytest.raises(DegenerateDenominator):
+        score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
 
 
 @given(near_pure_pairs())
