@@ -173,6 +173,8 @@ def cofactor_row(P):
     sign (-1)^(N-1): by the Markov chain tree theorem (Leighton & Rivest
     1986) Adj(I - P) >= 0, with a positive sum exactly then.  For corank > 1
     the adjugate vanishes: round-off of either sign, zeros for the identity.
+    Its scale, all but the smallest singular value of P - I multiplied, can
+    underflow to 0.0 on long slow-mixing chains whose v is unique.
     """
     return CofactorVector(_adjugate_row(P)[0])
 
@@ -189,12 +191,12 @@ def zd_feasibility_condition(P):
     """One-signedness test for the cofactor row.
 
     Linear score relations need D(p, q, 1), the row's sum, nonzero (by the
-    tree theorem, :func:`stationary`'s corank test, and the sum not exactly
-    0.0) and entries that do not change sign (tolerance 1e-12).
+    tree theorem, exactly when :func:`stationary`'s corank test finds corank
+    1; its value may underflow) and entries of one sign (tolerance 1e-12).
     """
     c, sv = _adjugate_row(P)
     one_signed = (c >= -1e-12).all() or (c <= 1e-12).all()
-    holds = bool(_corank(sv) == 1 and c.sum() != 0.0 and one_signed)
+    holds = bool(_corank(sv) == 1 and one_signed)
     return FeasibilityReport(holds, CofactorVector(c))
 
 

@@ -17,14 +17,10 @@ class NonUniqueStationary(ZDGamesError):
     i.e. the corank test found more than one vanishing singular value.
     """
 
-    def __init__(self, corank, message=None):
+    def __init__(self, corank):
         self.corank = corank
-        if message is None:
-            message = (
-                f"non-unique stationary distribution: "
-                f"null space of P - I has dimension {corank}"
-            )
-        super().__init__(message)
+        super().__init__("non-unique stationary distribution: "
+                         f"null space of P - I has dimension {corank}")
 
 
 class InaccurateStationary(ZDGamesError):
@@ -37,7 +33,7 @@ class InaccurateStationary(ZDGamesError):
 
 
 class DegenerateDenominator(ZDGamesError):
-    """The normalizing determinant D(p, q, 1) is numerically zero."""
+    """D(p, q, 1) vanishes: P - I has corank above 1 (a value of 0.0 may be underflow)."""
 
 
 class NoFeasiblePin(ZDGamesError):

@@ -175,8 +175,9 @@ def press_dyson_determinant(p, q, f):
 def score_combination(game, p, q, coeffs):
     """a*pi_alpha + b*pi_beta + c evaluated as a determinant ratio.
 
-    Independent of the stationary solve: useful as a cross-check and for
-    chains where D(p, q, 1) is available but an explicit v is not wanted.
+    Independent of the stationary solve.  By Cramer's rule the ratio
+    D(p, q, f) / D(p, q, 1) is the last unknown of D x = f, D the matrix of
+    D(p, q, 1), so no determinant is formed: those underflow on long chains.
 
     Raises
     ------
@@ -184,18 +185,20 @@ def score_combination(game, p, q, coeffs):
         When p and q are not an alpha and a beta strategy for ``game``.
     DegenerateDenominator
         When :func:`chain.stationary`'s corank test finds more than one
-        vanishing singular value of P - I, or D(p, q, 1) is exactly 0.0.  By
-        the Markov chain tree theorem the two tests agree in exact arithmetic.
+        vanishing singular value of P - I (by the Markov chain tree theorem,
+        exactly when D(p, q, 1) = 0), or the solve finds D singular.
     """
     M = _minus_identity(p, q, game)
     corank = _corank(np.linalg.svd(M, compute_uv=False))
+    if corank > 1:
+        raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {corank}")
+    f = _final_column(p, coeffs.combine(*_payoff_vectors(game)))
     D = _unilateral_columns(M, p.m)
     D[:, -1] = 1.0
-    d_one = float(np.linalg.det(D))
-    if corank > 1 or d_one == 0.0:
-        raise DegenerateDenominator(f"D(p, q, 1) = {d_one!r}; P - I has corank {corank}")
-    D[:, -1] = _final_column(p, coeffs.combine(*_payoff_vectors(game)))
-    return float(np.linalg.det(D)) / d_one
+    try:
+        return float(np.linalg.solve(D, f)[-1])
+    except np.linalg.LinAlgError:
+        raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
 
 
 def _synthesize(game, coeffs, player):

@@ -84,12 +84,7 @@ def test_degenerate_verdicts_agree(pairs, data):
     degenerate = raises(DegenerateDenominator, score_combination, game, p, q,
                         ZDCoefficients(1.0, -1.0, 0.0))
     holds = zd_feasibility_condition(P).holds
-    if non_unique:
-        assert not holds and degenerate
-    if degenerate:
-        assert non_unique or press_dyson_determinant(p, q, np.ones(p.n * p.m)) == 0.0
-    if holds:
-        assert not non_unique
+    assert non_unique == degenerate == (not holds)
 
 
 def near_identity_rows(k, eps):
@@ -114,23 +109,49 @@ def test_two_closed_classes_near_identity(eps):
         score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
 
 
-def test_underflowing_cofactors_enforce_nothing():
+def lazy_walk(k, eps, seed=0):
+    """k x k game with normal payoffs; each player switches with probability eps."""
+    rng = np.random.default_rng(seed)
+    game = make_game(rng.normal(size=(k, k)), rng.normal(size=(k, k)))
+    rows = near_identity_rows(k, eps)
+    p = make_strategy("alpha", np.repeat(rows, k, axis=0), order="alpha-major")
+    q = make_strategy("beta", np.tile(rows, (k, 1)), order="alpha-major")
+    return game, p, q
+
+
+def assert_ratio_matches_scores(game, p, q):
+    scores = expected_scores(game, p, q)
+    for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, -2.0, 0.5)):
+        ratio = score_combination(game, p, q, ZDCoefficients(a, b, c))
+        assert abs(ratio - (a * scores.pi_alpha + b * scores.pi_beta + c)) <= 1e-12
+
+
+def test_underflowing_cofactors_keep_the_verdict():
     # 6x6, both players switch with probability 1.5e-10: v is uniform and
     # unique (one singular value of P - I is round-off, the other 35 lie in
     # 1.8e-10..3.6e-10), but their product, the cofactor scale, underflows
-    # to 0.0, and so does D(p, q, 1)
-    rng = np.random.default_rng(0)
-    game = make_game(rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
-    rows = near_identity_rows(6, 1.5e-10)
-    p = make_strategy("alpha", np.repeat(rows, 6, axis=0), order="alpha-major")
-    q = make_strategy("beta", np.tile(rows, (6, 1)), order="alpha-major")
+    # to 0.0, and so does D(p, q, 1).  The corank alone decides the verdict,
+    # and the ratio comes from a solve, which does not underflow
+    game, p, q = lazy_walk(6, 1.5e-10)
     P = transition_matrix(p, q)
     assert np.allclose(stationary(P).v, 1.0 / 36, rtol=1e-5, atol=0)
     report = zd_feasibility_condition(P)
     assert not report.cofactors.c.any()
-    assert report.holds is False
-    with pytest.raises(DegenerateDenominator):
-        score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+    assert report.holds is True
+    assert_ratio_matches_scores(game, p, q)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_slow_mixing_lazy_walk_is_unique(k):
+    # switch probability 0.01: v is uniform and the corank is 1, yet
+    # D(p, q, 1), about the product of the 0.01-sized singular values of
+    # P - I, is -5e-170 on the 100-state chain and underflows to -0.0 on
+    # the 400-state one
+    game, p, q = lazy_walk(k, 0.01)
+    P = transition_matrix(p, q)
+    assert np.allclose(stationary(P).v, 1.0 / k**2, rtol=1e-9, atol=0)
+    assert zd_feasibility_condition(P).holds is True
+    assert_ratio_matches_scores(game, p, q)
 
 
 @given(near_pure_pairs())
