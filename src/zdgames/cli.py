@@ -41,10 +41,9 @@ from .errors import (
 )
 from .extortion import (
     ExtortionParams,
-    check_extortion_factor,
+    _extortion_scale,
     extortion_factor_bounds,
     extortion_strategy,
-    theta_max,
 )
 from .model import FILL_RULES, make_strategy
 from .simulate import SimulationConfig, _ratio, _tv_distance, play
@@ -227,14 +226,13 @@ def cmd_extort(args):
 
     if args.lam is None:
         raise _UsageError("--lambda is required unless --bounds is given")
-    report = check_extortion_factor(game, args.lam)
-    if not report.ok:
+    limit, violated = _extortion_scale(game, args.lam)
+    if violated:
         print(f"factor {args.lam} is not admissible; violated conditions:")
-        for family, i, j in report.violated:
+        for family, i, j in violated:
             print(f"  {family} ({i},{j})")
         return EXIT_INFEASIBLE
 
-    limit = theta_max(game, args.lam)
     if args.theta_max:
         print(f"theta_max = {limit!r}")
         return EXIT_OK
@@ -342,16 +340,16 @@ def cmd_scan(args):
 
     rows = []
     for lam in args.lambda_grid:
-        report = check_extortion_factor(game, lam)
-        limit = theta_max(game, lam) if report.ok else None
-        limit_text = "" if limit is None else limit
+        limit, violated = _extortion_scale(game, lam)
+        ok = not violated
+        limit_text = limit if ok else ""
         if args.theta_grid is None:
-            rows.append([lam, "", report.ok, limit_text, report.ok, ""])
+            rows.append([lam, "", ok, limit_text, ok, ""])
             continue
         for theta in args.theta_grid:
             feasible = False
             residual = ""
-            if report.ok:
+            if ok:
                 result = extortion_strategy(game, ExtortionParams(lam, theta))
                 feasible = result.feasible
                 if feasible:
@@ -361,7 +359,7 @@ def cmd_scan(args):
                         verify_linear_relation(game, strategy, opp, coeffs).residual
                         for opp in opponents
                     )
-            rows.append([lam, theta, report.ok, limit_text, feasible, residual])
+            rows.append([lam, theta, ok, limit_text, feasible, residual])
 
     header = ["lambda", "theta", "lambda_ok", "theta_max", "feasible", "max_residual"]
     _write_csv(args.out, header, rows, note=f" ({len(rows)} rows)")
