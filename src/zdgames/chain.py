@@ -9,7 +9,7 @@ independently, so
 This module computes stationary distributions, the last row of the adjugate
 of P - I (whose entries are proportional to the stationary vector when the
 chain has a one-dimensional fixed space), expected long-run scores, and the
-one-signedness condition under which zero-determinant synthesis is feasible.
+corank verdict under which zero-determinant synthesis is feasible.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InaccurateStationary, NonUniqueStationary
-from .model import PROB_TOL, _payoff_vectors, _readonly
+from .model import PROB_TOL, _readonly, payoff_vectors
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
@@ -51,14 +51,9 @@ class TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class StationaryDistribution:
-    """Stationary vector v (v P = v, sum 1) with its uniqueness certificate.
-
-    ``corank_flag`` is True when the singular-value test found exactly one
-    vanishing singular value of P - I, i.e. the fixed space is a line.
-    """
+    """The unique stationary vector v (v P = v, sum 1) of a corank-1 chain."""
 
     v: np.ndarray
-    corank_flag: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +71,7 @@ class ScorePair:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
-    """Outcome of the one-signed cofactor test."""
+    """Whether P - I has corank 1, with its cofactor row."""
 
     holds: bool
     cofactors: CofactorVector
@@ -104,6 +99,12 @@ def _joint(p, q):
     """Unvalidated nm x nm product ``p.rows[s, k] * q.rows[s, l]``; new and C-ordered."""
     joint = np.multiply(p.rows[:, :, None], q.rows[:, None, :], order="C")
     return joint.reshape(p.n * p.m, -1)
+
+
+def _minus_identity(P):
+    """P - I for the nm x nm array ``P``, in place on it: pass a new C-ordered array."""
+    P.ravel()[:: P.shape[0] + 1] -= 1.0  # a view of the diagonal: P is C-ordered
+    return P
 
 
 def _corank(sv):
@@ -135,7 +136,7 @@ def stationary(P):
         If the fallback is not accepted either: the chain is too close to
         degenerate for double precision.
     """
-    M = P.entries - np.eye(P.entries.shape[0])
+    M = _minus_identity(P.entries.copy())
     corank = _corank(np.linalg.svd(M, compute_uv=False))
     if corank > 1:
         raise NonUniqueStationary(corank)
@@ -148,7 +149,7 @@ def stationary(P):
         v = _accepted(np.linalg.solve(A, rhs), P)
     except (np.linalg.LinAlgError, InaccurateStationary):
         v = _accepted(_null_left(M), P)
-    return StationaryDistribution(_readonly(v), corank == 1)
+    return StationaryDistribution(_readonly(v))
 
 
 def _accepted(v, P):
@@ -181,23 +182,23 @@ def cofactor_row(P):
 
 def _adjugate_row(P):
     """(read-only cofactor row, singular values of P - I) from one SVD."""
-    u, sv, vt = np.linalg.svd(P.entries - np.eye(P.entries.shape[0]))
+    u, sv, vt = np.linalg.svd(_minus_identity(P.entries.copy()))
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
     scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
     return _readonly(scale * vt[-1, -1] * u[:, -1]), sv
 
 
 def zd_feasibility_condition(P):
-    """One-signedness test for the cofactor row.
+    """Corank verdict for linear score relations, with the cofactor row.
 
-    Linear score relations need D(p, q, 1), the row's sum, nonzero (by the
-    tree theorem, exactly when :func:`stationary`'s corank test finds corank
-    1; its value may underflow) and entries of one sign (tolerance 1e-12).
+    Linear score relations need D(p, q, 1), the cofactor row's sum, nonzero.
+    ``holds`` is :func:`stationary`'s corank test on the singular values of
+    the SVD that gives the row: corank 1.  By the Markov chain tree theorem
+    (Leighton & Rivest 1986) the row of a corank-1 chain is then one-signed
+    with a nonzero sum, though its value may underflow to 0.0.
     """
     c, sv = _adjugate_row(P)
-    one_signed = (c >= -1e-12).all() or (c <= 1e-12).all()
-    holds = bool(_corank(sv) == 1 and one_signed)
-    return FeasibilityReport(holds, CofactorVector(c))
+    return FeasibilityReport(_corank(sv) == 1, CofactorVector(c))
 
 
 def expected_scores(game, p, q):
@@ -208,5 +209,5 @@ def expected_scores(game, p, q):
 
 def _scores(game, v):
     """Both players' average payoffs v . omega under the state weights ``v``."""
-    wa, wb = _payoff_vectors(game)
+    wa, wb = payoff_vectors(game)
     return ScorePair(float(v @ wa), float(v @ wb))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _payoff_vectors, own_move_one_indicator
+from .model import own_move_one_indicator, payoff_vectors
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis_result
 
 CONDITION_TOL = 1e-12
@@ -98,7 +98,7 @@ def _require_normalized(A):
 
 def _extortion_vectors(game):
     """delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, alpha-major."""
-    wa, wb = _payoff_vectors(game)
+    wa, wb = payoff_vectors(game)
     nn = game.A[-1, -1]
     return own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
 

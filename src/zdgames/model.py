@@ -65,11 +65,6 @@ class StateIndex:
         return cls(flat // m + 1, flat % m + 1, flat)
 
 
-def state_order(n, m):
-    """All nm states in flat order."""
-    return [StateIndex.from_flat(s, n, m) for s in range(n * m)]
-
-
 @dataclass(frozen=True, eq=False)
 class BimatrixGame:
     """A two-player game in normal form.
@@ -94,9 +89,6 @@ class BimatrixGame:
     def is_symmetric(self):
         """True when both players face the identical payoff table."""
         return self.n == self.m and np.array_equal(self.A, self.B)
-
-    def state(self, i, j):
-        return StateIndex.from_pair(i, j, self.n, self.m)
 
 
 def make_game(A, B):
@@ -141,27 +133,12 @@ def chicken_family(r):
     return make_symmetric([[1.0, 1.0 - r], [1.0 + r, 0.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class PayoffVector:
-    """A player's payoffs flattened over the nm joint states."""
+def payoff_vectors(game):
+    """(omega_alpha, omega_beta): both players' payoffs over the nm states, alpha-major.
 
-    entries: np.ndarray
-    owner: str
-
-
-def flatten_payoffs(game, owner):
-    """Flatten one player's payoffs into alpha-major state order.
-
-    For alpha this is ``A`` raveled; for beta the entry at state (i, j) is
-    ``B[j-1, i-1]``, i.e. B transposed and then raveled.
+    ``A`` raveled, and ``B`` transposed and then raveled: beta's payoff at
+    state (i, j), ``B[j-1, i-1]``, sits at the flat index of (i, j).
     """
-    _check_player(owner)
-    wa, wb = _payoff_vectors(game)
-    return PayoffVector(_readonly(wa if owner == "alpha" else wb), owner)
-
-
-def _payoff_vectors(game):
-    """(omega_alpha, omega_beta): ``A`` raveled and ``B`` transposed, then raveled."""
     return game.A.ravel(), game.B.T.ravel()
 
 
@@ -178,15 +155,6 @@ class MemoryOneStrategy:
     n: int
     m: int
     rows: np.ndarray
-
-    @property
-    def moves(self):
-        """Number of own moves K."""
-        return self.n if self.player == "alpha" else self.m
-
-    def first_component(self):
-        """Probability of playing own strategy 1, per state."""
-        return self.rows[:, 0].copy()
 
 
 def _infer_dims(player, n_rows, k):
@@ -240,18 +208,6 @@ def make_strategy(player, rows, order="native"):
     return MemoryOneStrategy(player, n, m, _readonly(rows))
 
 
-@dataclass(frozen=True, eq=False)
-class UnilateralColumn:
-    """The transition-matrix column one player fully controls.
-
-    For alpha the entry at state (i, j) is ``p1 - delta_{i,1}``; for beta it
-    is ``q1 - delta_{j,1}``, both in alpha-major order.
-    """
-
-    entries: np.ndarray
-    owner: str
-
-
 def own_move_one_indicator(player, n, m):
     """Indicator vector of states where the player's own move was 1."""
     _check_player(player)
@@ -261,12 +217,6 @@ def own_move_one_indicator(player, n, m):
     else:
         ind[::m] = 1.0
     return ind
-
-
-def unilateral_column(strategy):
-    """First component minus the own-move-1 indicator."""
-    delta = own_move_one_indicator(strategy.player, strategy.n, strategy.m)
-    return UnilateralColumn(_readonly(strategy.rows[:, 0] - delta), strategy.player)
 
 
 def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):

@@ -26,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_pair, _corank, _joint, expected_scores
+from .chain import _check_pair, _corank, _joint, _minus_identity, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
     StateIndex,
-    _payoff_vectors,
     _readonly,
     complete_from_first_component,
-    flatten_payoffs,
     own_move_one_indicator,
+    payoff_vectors,
 )
 
 SCALE_RTOL = 1e-12
@@ -122,7 +121,7 @@ def _feasible_scale(delta, g):
     return float(limits.min(initial=math.inf)), blocking
 
 
-def _zd_matrix(p, q, game=None):
+def _zd_matrix(p, q):
     """P - I after the two unilateral column operations.
 
     Adds every column whose next alpha-move is alpha_1 into the column of
@@ -131,17 +130,15 @@ def _zd_matrix(p, q, game=None):
     columns, which is exactly the sequential elementary-operation result.
     Callers overwrite the final column with the vector f of D(p, q, f).
     """
-    return _unilateral_columns(_minus_identity(p, q, game), p.m)
+    return _unilateral_columns(_pair_minus_identity(p, q), p.m)
 
 
-def _minus_identity(p, q, game=None):
+def _pair_minus_identity(p, q, game=None):
     """P - I, a new C-ordered array; checks the pair as :func:`chain._check_pair`."""
     _check_pair(p, q, game)
     if p.n < 2 or p.m < 2:
         raise ValueError("determinant construction needs at least 2 moves per player")
-    M = _joint(p, q)
-    M.ravel()[:: p.n * p.m + 1] -= 1.0  # a view of the diagonal: M is C-ordered
-    return M
+    return _minus_identity(_joint(p, q))
 
 
 def _unilateral_columns(M, m):
@@ -188,11 +185,11 @@ def score_combination(game, p, q, coeffs):
         vanishing singular value of P - I (by the Markov chain tree theorem,
         exactly when D(p, q, 1) = 0), or the solve finds D singular.
     """
-    M = _minus_identity(p, q, game)
+    M = _pair_minus_identity(p, q, game)
     corank = _corank(np.linalg.svd(M, compute_uv=False))
     if corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {corank}")
-    f = _final_column(p, coeffs.combine(*_payoff_vectors(game)))
+    f = _final_column(p, coeffs.combine(*payoff_vectors(game)))
     D = _unilateral_columns(M, p.m)
     D[:, -1] = 1.0
     try:
@@ -203,7 +200,7 @@ def score_combination(game, p, q, coeffs):
 
 def _synthesize(game, coeffs, player):
     delta = own_move_one_indicator(player, game.n, game.m)
-    raw = delta + coeffs.combine(*_payoff_vectors(game))
+    raw = delta + coeffs.combine(*payoff_vectors(game))
     return _synthesis_result(player, game.n, game.m, raw)
 
 
@@ -241,8 +238,8 @@ def pin_opponent_score(game, pinner, target):
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
-    opponent = "beta" if pinner == "alpha" else "alpha"
-    g = flatten_payoffs(game, opponent).entries - target
+    wa, wb = payoff_vectors(game)
+    g = (wb if pinner == "alpha" else wa) - target
     t_pos = _feasible_scale(delta, g)[0]
     t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)[0]))
     if t_max > 0.0:

@@ -12,10 +12,11 @@ from zdgames import (
     ZDCoefficients,
     check_extortion_factor,
     extortion_factor_bounds,
-    flatten_payoffs,
     make_game,
     make_strategy,
     make_symmetric,
+    own_move_one_indicator,
+    payoff_vectors,
     theta_max,
 )
 
@@ -45,7 +46,7 @@ def rand_mixed_pure_strategy(rng, player, n, m, mixed_share):
     """Pure rows, each replaced by an interior one with probability ``mixed_share``.
 
     Pure rows make absorbing and reducible chains common, where cofactors
-    vanish exactly and the one-signedness verdict is decided at the tolerance.
+    vanish exactly and the corank verdict is decided at its threshold.
     """
     k = n if player == "alpha" else m
     rows = np.eye(k)[rng.integers(k, size=n * m)]
@@ -165,31 +166,37 @@ def rand_symmetric(rng, n, low=-1.0, high=4.0):
     return make_symmetric(rng.uniform(low, high, size=(n, n)))
 
 
-def feasible_zd_instance(rng, n, m, margin=0.05):
-    """A random game plus coefficients whose alpha synthesis is strictly interior.
+def feasible_zd_instance(rng, n, m, margin=0.05, player="alpha"):
+    """A random game plus coefficients whose ``player`` synthesis is strictly interior.
 
     The vector g = a*omega_alpha + b*omega_beta + c must be nonpositive on
-    first-row states and nonnegative elsewhere; sampling (a, b) and solving
-    the resulting interval for c, then shrinking everything into the
-    probability box, produces such triples by construction.  Not every game
-    admits one (the two point clouds need not be separable), so games are
-    resampled alongside the coefficients.
+    the states where the player's own move was 1 and nonnegative elsewhere;
+    sampling (a, b) and solving the resulting interval for c, then shrinking
+    everything into the probability box, produces such triples by
+    construction.  Not every game admits one (the two point clouds need not
+    be separable), so games are resampled alongside the coefficients: up to
+    200 directions (a, b) per game, tried in one array operation.
     """
+    own = own_move_one_indicator(player, n, m) == 1.0
     while True:
         game = rand_game(rng, n, m)
-        wa = flatten_payoffs(game, "alpha").entries
-        wb = flatten_payoffs(game, "beta").entries
-        for _ in range(200):
-            a0, b0 = rng.normal(size=2)
-            h = a0 * wa + b0 * wb
-            lo = -h[m:].min()
-            hi = -h[:m].max()
-            if hi - lo < margin:
-                continue
-            c0 = 0.5 * (lo + hi)
-            g = h + c0
+        wa, wb = payoff_vectors(game)
+        state = rng.bit_generator.state
+        ab = rng.normal(size=(200, 2))
+        h = ab[:, :1] * wa + ab[:, 1:] * wb
+        lo = -h[:, ~own].min(axis=1)
+        hi = -h[:, own].max(axis=1)
+        found = np.flatnonzero(hi - lo >= margin)
+        if found.size:
+            k = found[0]
+            # rewind and redraw only directions 0..k, so that rng ends where a
+            # one-direction-at-a-time search ends and later draws do not move
+            rng.bit_generator.state = state
+            rng.normal(size=(k + 1, 2))
+            c0 = 0.5 * (lo[k] + hi[k])
+            g = h[k] + c0
             t = 0.9 / max(1.0, np.abs(g).max())
-            return game, ZDCoefficients(t * a0, t * b0, t * c0)
+            return game, ZDCoefficients(t * ab[k, 0], t * ab[k, 1], t * c0)
 
 
 def extortable_symmetric_3x3(rng):

@@ -24,9 +24,9 @@ from zdgames import (
     NonUniqueStationary,
     ZDCoefficients,
     expected_scores,
-    flatten_payoffs,
     make_game,
     make_strategy,
+    payoff_vectors,
     press_dyson_determinant,
     score_combination,
     stationary,
@@ -65,9 +65,7 @@ def coefficients(record, scale):
 
 
 def final_column(game, coeffs):
-    return coeffs.combine(
-        flatten_payoffs(game, "alpha").entries, flatten_payoffs(game, "beta").entries
-    )
+    return coeffs.combine(*payoff_vectors(game))
 
 
 def attempt(fn, *args):

@@ -21,10 +21,10 @@ from zdgames import (
     chicken_family,
     extortion_factor_bounds,
     extortion_strategy,
-    flatten_payoffs,
     make_game,
     make_symmetric,
     own_move_one_indicator,
+    payoff_vectors,
     pin_opponent_score,
     theta_max,
 )
@@ -35,8 +35,8 @@ SEED = 2024
 
 def pin_windows(game, pinner):
     """Closed pinnable target windows for each sign of the pin weight."""
-    opponent = "beta" if pinner == "alpha" else "alpha"
-    w = flatten_payoffs(game, opponent).entries
+    wa, wb = payoff_vectors(game)
+    w = wb if pinner == "alpha" else wa
     own = own_move_one_indicator(pinner, game.n, game.m) == 1.0
     windows = [(w[own].max(), w[~own].min()), (w[~own].max(), w[own].min())]
     return [(float(lo), float(hi)) for lo, hi in windows if lo <= hi]

@@ -114,7 +114,7 @@ class TestZd:
         assert code == 0
         assert "feasible" in capsys.readouterr().out
         strategy = load_strategy(out)
-        assert np.allclose(strategy.first_component(), [0.9, 0.75, 0.05, 0.0],
+        assert np.allclose(strategy.rows[:, 0], [0.9, 0.75, 0.05, 0.0],
                            rtol=0, atol=1e-15)
 
     def test_infeasible_exits_1(self, tmp_path, chicken_path, capsys):
@@ -176,7 +176,7 @@ class TestExtort:
         text = capsys.readouterr().out
         assert "enforces: pi_alpha - 0.0 = 2.0 * (pi_beta - 0.0)" in text
         strategy = load_strategy(out)
-        assert np.array_equal(strategy.first_component(), [0.9, 0.75, 0.05, 0.0])
+        assert np.array_equal(strategy.rows[:, 0], [0.9, 0.75, 0.05, 0.0])
 
     def test_inadmissible_factor_exits_1(self, chicken_path, capsys):
         assert main(["extort", chicken_path, "--lambda", "4", "--theta", "0.1"]) == 1

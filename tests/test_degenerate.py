@@ -7,7 +7,8 @@ reducibility.  Library calls may raise only ``ZDGamesError`` or
 turns warnings into errors, so a numpy warning fails these properties too.
 The three exact verdicts on a degenerate chain (``stationary``'s
 uniqueness, ``holds`` and ``score_combination``'s denominator) must agree
-on these pairs and on interior ones.
+on these pairs, on interior ones, and on mixed-pure chains with up to 15
+moves per player.
 """
 
 import contextlib
@@ -40,7 +41,7 @@ from zdgames import (
 )
 from zdgames.cli import main
 
-from helpers import near_pure_pairs, seeded_pairs
+from helpers import near_pure_pairs, rand_mixed_pure_strategy, seeded_pairs
 
 
 @given(near_pure_pairs())
@@ -85,6 +86,32 @@ def test_degenerate_verdicts_agree(pairs, data):
                         ZDCoefficients(1.0, -1.0, 0.0))
     holds = zd_feasibility_condition(P).holds
     assert non_unique == degenerate == (not holds)
+
+
+def test_holds_iff_unique_on_large_mixed_pure_chains():
+    # 2..15 moves per player, 70% of the rows pure: transient states put
+    # exact zeros in v, and some chains have several closed classes.  By the
+    # Markov chain tree theorem a corank-1 cofactor row is one-signed, so
+    # the corank alone decides holds; the row's entries of the wrong sign
+    # are round-off
+    rng = np.random.default_rng(2026)
+    verdicts = []
+    for _ in range(60):
+        n, m = (int(k) for k in rng.integers(2, 16, size=2))
+        P = transition_matrix(rand_mixed_pure_strategy(rng, "alpha", n, m, 0.3),
+                              rand_mixed_pure_strategy(rng, "beta", n, m, 0.3))
+        try:
+            stationary(P)
+            unique = True
+        except NonUniqueStationary:
+            unique = False
+        report = zd_feasibility_condition(P)
+        assert report.holds is unique
+        c = report.cofactors.c
+        if unique:
+            assert (np.sign(c.sum()) * c >= -1e-11 * np.abs(c).max()).all()
+        verdicts.append(unique)
+    assert 0 < verdicts.count(False) < len(verdicts)
 
 
 def near_identity_rows(k, eps):

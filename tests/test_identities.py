@@ -4,9 +4,14 @@ Every property runs on 2x2..4x4 pairs with interior rows and with half of
 the rows pure, where reducible chains are common.
 
 Press-Dyson: D(p, q, f) / D(p, q, 1) = v . f for the stationary vector v
-(Press & Dyson 2012), and when the one-signed cofactor test holds the
-cofactor row normalizes to v.  Affine payoffs: the scores of
-(sA + t, sB + t) are s * score + t.
+(Press & Dyson 2012), and when the corank verdict holds the cofactor row
+normalizes to v.  Affine payoffs: the scores of (sA + t, sB + t) are
+s * score + t.
+
+Zero determinant: a feasible strategy synthesized for coefficients
+(a, b, c), by alpha or by beta, enforces a * pi_alpha + b * pi_beta + c = 0
+against every opponent, by the stationary solve and by the determinant
+ratio alike.
 
 Role swap (a metamorphic relation): the game (A, B) with strategies p, q
 and the game (B, A) with q's and p's rows moved from state (i, j) to
@@ -27,16 +32,19 @@ from zdgames import (
     ZDCoefficients,
     ZDGamesError,
     expected_scores,
-    flatten_payoffs,
     make_game,
     make_strategy,
+    payoff_vectors,
     score_combination,
     stationary,
+    synthesize_zd_alpha,
+    synthesize_zd_beta,
     transition_matrix,
+    verify_linear_relation,
     zd_feasibility_condition,
 )
 
-from helpers import seeded_pairs
+from helpers import feasible_zd_instance, rand_mixed_pure_strategy, seeded_pairs
 
 RTOL = 1e-12
 # c / sum(c) against v: the worst of 10,000 seeded draws was 6.5e-13
@@ -100,8 +108,8 @@ def test_press_dyson_ratio_is_the_stationary_average(mixed_share, data, coeffs):
         assert ratio is DegenerateDenominator
     elif not isinstance(dist, type):
         a, b, c = coeffs
-        f = (a * flatten_payoffs(game, "alpha").entries
-             + b * flatten_payoffs(game, "beta").entries + c)
+        wa, wb = payoff_vectors(game)
+        f = a * wa + b * wb + c
         assert close(ratio, float(dist.v @ f))
 
 
@@ -131,3 +139,28 @@ def test_affine_payoffs_move_scores_affinely(mixed_share, data, s, t):
         tol = RTOL * max(1.0, abs(s) * max(abs(game.A).max(), abs(game.B).max()) + abs(t))
         assert abs(moved.pi_alpha - (s * scores.pi_alpha + t)) <= tol
         assert abs(moved.pi_beta - (s * scores.pi_beta + t)) <= tol
+
+
+@MIXED_SHARES
+@given(
+    player=st.sampled_from(("alpha", "beta")),
+    n=st.integers(2, 4),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesized_strategy_enforces_its_relation(mixed_share, player, n, m, seed):
+    rng = np.random.default_rng(seed)
+    game, coeffs = feasible_zd_instance(rng, n, m, player=player)
+    if player == "alpha":
+        p = synthesize_zd_alpha(game, coeffs).complete()
+        q = rand_mixed_pure_strategy(rng, "beta", n, m, mixed_share)
+    else:
+        p = rand_mixed_pure_strategy(rng, "alpha", n, m, mixed_share)
+        q = synthesize_zd_beta(game, coeffs).complete()
+    check = outcome(verify_linear_relation, game, p, q, coeffs)
+    combination = outcome(score_combination, game, p, q, coeffs)
+    if check is NonUniqueStationary:
+        assert combination is DegenerateDenominator
+    else:
+        assert check.holds
+        assert abs(combination) < 1e-9

@@ -8,21 +8,18 @@ from zdgames import (
     StateIndex,
     chicken_family,
     complete_from_first_component,
-    flatten_payoffs,
     make_game,
     make_strategy,
     make_symmetric,
     own_move_one_indicator,
-    state_order,
-    unilateral_column,
+    payoff_vectors,
 )
-
-from helpers import rand_strategy
 
 
 class TestStateIndex:
     def test_alpha_major_order(self):
-        order = [(s.i, s.j) for s in state_order(2, 3)]
+        states = [StateIndex.from_flat(k, 2, 3) for k in range(6)]
+        order = [(s.i, s.j) for s in states]
         assert order == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 
     def test_flat_formula(self):
@@ -123,31 +120,26 @@ class TestChickenFamily:
 
 class TestFlattenPayoffs:
     def test_alpha(self):
-        vec = flatten_payoffs(chicken_family(0.5), "alpha")
-        assert np.array_equal(vec.entries, [1.0, 0.5, 1.5, 0.0])
+        wa, _ = payoff_vectors(chicken_family(0.5))
+        assert np.array_equal(wa, [1.0, 0.5, 1.5, 0.0])
 
     def test_beta_is_transpose_flatten(self):
-        vec = flatten_payoffs(chicken_family(0.5), "beta")
-        assert np.array_equal(vec.entries, [1.0, 1.5, 0.5, 0.0])
+        _, wb = payoff_vectors(chicken_family(0.5))
+        assert np.array_equal(wb, [1.0, 1.5, 0.5, 0.0])
 
     def test_symmetric_state_swap(self, rng):
         game = make_symmetric(rng.normal(size=(3, 3)))
-        wa = flatten_payoffs(game, "alpha").entries
-        wb = flatten_payoffs(game, "beta").entries
-        for s in state_order(3, 3):
-            swapped = game.state(s.j, s.i)
-            assert wb[s.flat] == wa[swapped.flat]
-
-    def test_bad_owner(self):
-        with pytest.raises(ValueError):
-            flatten_payoffs(chicken_family(0.5), "gamma")
+        wa, wb = payoff_vectors(game)
+        for flat in range(9):
+            s = StateIndex.from_flat(flat, 3, 3)
+            assert wb[s.flat] == wa[StateIndex.from_pair(s.j, s.i, 3, 3).flat]
 
 
 class TestMakeStrategy:
     def test_always_first_move(self):
         p = make_strategy("alpha", [[1.0, 0.0]] * 4)
-        assert np.array_equal(p.first_component(), np.ones(4))
-        assert p.moves == 2
+        assert np.array_equal(p.rows[:, 0], np.ones(4))
+        assert p.rows.shape[1] == 2
 
     def test_row_sum_violation(self):
         rows = [[1.0, 0.0], [0.5, 0.4], [1.0, 0.0], [1.0, 0.0]]
@@ -201,42 +193,10 @@ class TestMakeStrategy:
             make_strategy("beta", np.full((4, 2), 0.5), order="beta-major")
 
 
-class TestUnilateralColumn:
-    def test_alpha_always_first(self):
-        p = make_strategy("alpha", [[1.0, 0.0]] * 4)
-        assert np.array_equal(unilateral_column(p).entries, [0.0, 0.0, 1.0, 1.0])
-
-    def test_alpha_uniform(self):
-        p = make_strategy("alpha", np.full((4, 2), 0.5))
-        assert np.array_equal(unilateral_column(p).entries, [-0.5, -0.5, 0.5, 0.5])
-
-    def test_beta_always_first(self):
-        q = make_strategy("beta", [[1.0, 0.0]] * 4, order="alpha-major")
-        assert np.array_equal(unilateral_column(q).entries, [0.0, 1.0, 0.0, 1.0])
-
+class TestOwnMoveIndicator:
     def test_indicator_patterns(self):
         assert np.array_equal(own_move_one_indicator("alpha", 2, 3), [1, 1, 1, 0, 0, 0])
         assert np.array_equal(own_move_one_indicator("beta", 2, 3), [1, 0, 0, 1, 0, 0])
-
-    @pytest.mark.parametrize("player", ["alpha", "beta"])
-    def test_delta_recovery(self, rng, player):
-        # x - 1 + 1 can lose the last bit for x < 0.5, so: exact on dyadic
-        # first components, one ulp otherwise
-        dyadic = complete_from_first_component(
-            player, np.array([0.5, 0.25, 1.0, 0.0, 0.125, 0.75]), 3, 2
-        )
-        delta = own_move_one_indicator(player, 3, 2)
-        assert np.array_equal(
-            unilateral_column(dyadic).entries + delta, dyadic.first_component()
-        )
-        strategy = rand_strategy(rng, player, 3, 2)
-        recovered = unilateral_column(strategy).entries + delta
-        assert np.allclose(recovered, strategy.rows[:, 0], rtol=0, atol=2**-52)
-
-    def test_alpha_range_split(self, rng):
-        p = rand_strategy(rng, "alpha", 2, 2)
-        entries = unilateral_column(p).entries
-        assert (entries[:2] <= 0).all() and (entries[2:] >= 0).all()
 
 
 class TestCompleteFromFirstComponent:
@@ -270,7 +230,7 @@ class TestCompleteFromFirstComponent:
     def test_round_trip_exact(self, rng, fill_rule):
         p1 = rng.uniform(size=12)
         p = complete_from_first_component("alpha", p1, 4, 3, fill_rule)
-        assert np.array_equal(p.first_component(), p1)
+        assert np.array_equal(p.rows[:, 0], p1)
 
     @given(st.floats(0.0, 1.0), st.sampled_from(FILL_RULES))
     def test_rows_stochastic(self, value, fill_rule):

@@ -12,11 +12,11 @@ from zdgames import (
     chicken_family,
     expected_scores,
     extortion_coefficients,
-    flatten_payoffs,
     make_game,
     make_strategy,
     make_symmetric,
     own_move_one_indicator,
+    payoff_vectors,
     pin_opponent_score,
     press_dyson_determinant,
     score_combination,
@@ -82,9 +82,7 @@ class TestDeterminant:
         for _ in range(5):
             game, coeffs = feasible_zd_instance(rng, 2, 2)
             p = synthesize_zd_alpha(game, coeffs).complete()
-            wa = flatten_payoffs(game, "alpha").entries
-            wb = flatten_payoffs(game, "beta").entries
-            f = coeffs.combine(wa, wb)
+            f = coeffs.combine(*payoff_vectors(game))
             for _ in range(5):
                 q = rand_strategy(rng, "beta", 2, 2)
                 d_one = press_dyson_determinant(p, q, np.ones(4))
