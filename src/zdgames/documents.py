@@ -62,7 +62,7 @@ def _load_json(path):
 def game_from_document(obj, source="<game>"):
     n = _int_field(obj, "n", source)
     m = _int_field(obj, "m", source)
-    if n < 2 or m < 1:
+    if n < 2 or m < 2:
         raise SchemaError(f"{source}: invalid dimensions n={n}, m={m}")
     A = _grid(obj, "A", n, m, source)
     if "B" in obj:

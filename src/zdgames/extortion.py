@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import own_move_one_indicator, payoff_vectors
-from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis_result
+from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
 
@@ -152,9 +152,8 @@ def extortion_strategy(game, params):
     constructions can be checked against each other.
     """
     _require_symmetric(game)
-    delta, u, w = _extortion_vectors(game)
-    g = u - params.lam * w
-    return _synthesis_result("alpha", game.n, game.n, delta + params.theta * g)
+    _, u, w = _extortion_vectors(game)
+    return _synthesis("alpha", game, u - params.lam * w, params.theta)
 
 
 def theta_max(game, lam):

@@ -34,6 +34,12 @@ def _check_player(player):
     return player
 
 
+def _check_moves(n, m):
+    """ValueError unless both players have at least two moves."""
+    if n < 2 or m < 2:
+        raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
+
+
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -72,7 +78,9 @@ class BimatrixGame:
     Attributes
     ----------
     n, m : int
-        Number of strategies for alpha and beta; n >= 2.
+        Number of strategies for alpha and beta; n >= 2 and m >= 2,
+        because the ZD construction needs a move 2 of each player, both to
+        absorb the mass 1 - p1 and for beta_2's column of D(p, q, f).
     A : ndarray, shape (n, m)
         Alpha's payoffs, ``A[i-1, j-1]`` at outcome (alpha_i, beta_j).
     B : ndarray, shape (m, n)
@@ -98,10 +106,7 @@ def make_game(A, B):
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("payoff tables must be two-dimensional")
     n, m = A.shape
-    if n < 2:
-        raise ValueError(f"alpha needs at least 2 strategies, got n={n}")
-    if m < 1:
-        raise ValueError("beta needs at least 1 strategy")
+    _check_moves(n, m)
     if B.shape != (m, n):
         raise ValueError(
             f"B must be {m}x{n} (beta's own perspective), got {B.shape[0]}x{B.shape[1]}"
@@ -162,10 +167,7 @@ def _infer_dims(player, n_rows, k):
         raise ValueError(f"{n_rows} rows not divisible by {k} columns")
     other = n_rows // k
     n, m = (k, other) if player == "alpha" else (other, k)
-    if n < 2:
-        raise ValueError(f"inferred n={n}; alpha needs at least 2 strategies")
-    if m < 1:
-        raise ValueError("inferred m=0")
+    _check_moves(n, m)
     return n, m
 
 
@@ -230,6 +232,7 @@ def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):
     _check_player(player)
     if fill_rule not in FILL_RULES:
         raise ValueError(f"unknown fill rule {fill_rule!r}; choose from {FILL_RULES}")
+    _check_moves(n, m)
     p1 = np.asarray(p1, dtype=float)
     if p1.shape != (n * m,):
         raise ValueError(f"expected {n * m} first components, got shape {p1.shape}")
@@ -238,18 +241,13 @@ def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):
         raise ValueError(f"first component at state {bad} is {p1[bad]!r}, outside [0, 1]")
     p1 = np.clip(p1, 0.0, 1.0)
     k = n if player == "alpha" else m
-    if k == 1:
-        if (1.0 - p1 > PROB_TOL).any():
-            raise ValueError("single-move player cannot absorb leftover mass")
-        rows = np.ones((n * m, 1))
+    rows = np.zeros((n * m, k))
+    rows[:, 0] = p1
+    rest = 1.0 - p1
+    if fill_rule == "uniform":
+        rows[:, 1:] = rest[:, None] / (k - 1)
+    elif fill_rule == "all-to-last":
+        rows[:, -1] = rest
     else:
-        rows = np.zeros((n * m, k))
-        rows[:, 0] = p1
-        rest = 1.0 - p1
-        if fill_rule == "uniform":
-            rows[:, 1:] = rest[:, None] / (k - 1)
-        elif fill_rule == "all-to-last":
-            rows[:, -1] = rest
-        else:
-            rows[:, 1] = rest
+        rows[:, 1] = rest
     return make_strategy(player, rows, order="alpha-major")

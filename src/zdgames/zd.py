@@ -92,7 +92,14 @@ class SynthesisResult:
         )
 
 
-def _synthesis_result(player, n, m, raw):
+def _synthesis(player, game, g, t=1.0):
+    """``player``'s first components delta + t*g, with their feasibility report.
+
+    delta is the indicator of the player's own previous move 1 and g the
+    target direction over the nm states; every synthesis is built here.
+    """
+    n, m = game.n, game.m
+    raw = own_move_one_indicator(player, n, m) + t * g
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
         for s in range(n * m)
@@ -136,8 +143,6 @@ def _zd_matrix(p, q):
 def _pair_minus_identity(p, q, game=None):
     """P - I, a new C-ordered array; checks the pair as :func:`chain._check_pair`."""
     _check_pair(p, q, game)
-    if p.n < 2 or p.m < 2:
-        raise ValueError("determinant construction needs at least 2 moves per player")
     return _minus_identity(_joint(p, q))
 
 
@@ -198,24 +203,18 @@ def score_combination(game, p, q, coeffs):
         raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
 
 
-def _synthesize(game, coeffs, player):
-    delta = own_move_one_indicator(player, game.n, game.m)
-    raw = delta + coeffs.combine(*payoff_vectors(game))
-    return _synthesis_result(player, game.n, game.m, raw)
-
-
 def synthesize_zd_alpha(game, coeffs):
     """First components with which alpha enforces the coefficient relation.
 
     ``p1[s(i,j)] = delta_{i,1} + a*a_ij + b*b_ji + c``.  Infeasibility is
     reported in the result, never raised.
     """
-    return _synthesize(game, coeffs, "alpha")
+    return _synthesis("alpha", game, coeffs.combine(*payoff_vectors(game)))
 
 
 def synthesize_zd_beta(game, coeffs):
     """Beta's counterpart: ``q1[s(i,j)] = delta_{j,1} + a*a_ij + b*b_ji + c``."""
-    return _synthesize(game, coeffs, "beta")
+    return _synthesis("beta", game, coeffs.combine(*payoff_vectors(game)))
 
 
 def pin_opponent_score(game, pinner, target):
@@ -246,13 +245,10 @@ def pin_opponent_score(game, pinner, target):
         weight = math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
         if weight > t_pos:
             weight = -weight
-        if pinner == "alpha":
-            coeffs = ZDCoefficients(0.0, weight, -weight * target)
-        else:
-            coeffs = ZDCoefficients(weight, 0.0, -weight * target)
-        result = _synthesize(game, coeffs, pinner)
+        result = _synthesis(pinner, game, g, weight)
         if result.feasible:
-            return result, coeffs
+            a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
+            return result, ZDCoefficients(a, b, -weight * target)
     raise NoFeasiblePin(
         f"no feasible pin of the opponent's score at {target!r}: "
         "it lies outside the window the pinner can enforce"

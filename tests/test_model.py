@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from zdgames import (
     FILL_RULES,
+    SchemaError,
     StateIndex,
     chicken_family,
     complete_from_first_component,
+    load_game,
     make_game,
     make_strategy,
     make_symmetric,
@@ -60,6 +62,20 @@ class TestMakeGame:
     def test_single_strategy_alpha_rejected(self):
         with pytest.raises(ValueError):
             make_game(np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_single_move_beta_rejected(self, tmp_path):
+        # beta needs a move 2 for the leftover mass 1 - q1 and for D's beta_2 column
+        with pytest.raises(ValueError, match="at least 2"):
+            make_game(np.zeros((2, 1)), np.zeros((1, 2)))
+        for player, k in (("alpha", 2), ("beta", 1)):
+            with pytest.raises(ValueError, match="at least 2"):
+                make_strategy(player, np.full((2, k), 1.0 / k), order="alpha-major")
+        with pytest.raises(ValueError, match="at least 2"):
+            complete_from_first_component("alpha", [0.5, 0.5], 2, 1)
+        path = tmp_path / "game.json"
+        path.write_text('{"n": 2, "m": 1, "A": [[1], [0]], "B": [[1, 0]]}', encoding="utf-8")
+        with pytest.raises(SchemaError, match="invalid dimensions n=2, m=1"):
+            load_game(path)
 
     def test_b_shape_mismatch(self):
         with pytest.raises(ValueError):

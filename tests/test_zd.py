@@ -27,7 +27,7 @@ from zdgames import (
     verify_linear_relation,
     zd_feasibility_condition,
 )
-from zdgames.zd import _synthesis_result, _zd_matrix
+from zdgames.zd import _synthesis, _zd_matrix
 
 from helpers import (
     SCALES,
@@ -98,9 +98,9 @@ class TestDeterminant:
             assert abs(np.linalg.det(hat)) <= 1e-9 * scale
 
     def test_single_move_side_rejected(self, rng):
-        p = rand_strategy(rng, "alpha", 2, 1)
-        q = rand_strategy(rng, "beta", 2, 1)
         with pytest.raises(ValueError, match="at least 2"):
+            p = rand_strategy(rng, "alpha", 2, 1)
+            q = rand_strategy(rng, "beta", 2, 1)
             press_dyson_determinant(p, q, np.ones(2))
 
     def test_bad_f(self, rng):
@@ -237,7 +237,8 @@ class TestSynthesis:
 
 
     def test_nan_entry_is_a_violation(self):
-        result = _synthesis_result("alpha", 2, 2, np.array([0.5, math.nan, 1.0, 0.0]))
+        # delta = (1, 1, 0, 0), so p1 = (0.5, nan, 1, 0)
+        result = _synthesis("alpha", PD, np.array([-0.5, math.nan, 1.0, 0.0]))
         assert not result.feasible
         assert [state.flat for state, _ in result.violations] == [1]
         assert math.isnan(result.violations[0][1])
