@@ -11,7 +11,7 @@ identical 64-bit value.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 from .errors import SchemaError
 from .model import make_game, make_strategy, make_symmetric
@@ -43,7 +43,8 @@ def _grid(obj, field, rows, cols, source):
             )
         for x in row:
             number = isinstance(x, (int, float)) and not isinstance(x, bool)
-            if not (number and math.isfinite(x)):
+            # compares exactly, so an int beyond the float range fails too, as NaN does
+            if not (number and abs(x) <= sys.float_info.max):
                 raise SchemaError(f"{source}: field {field!r} row {r} holds {x!r}")
     return value
 

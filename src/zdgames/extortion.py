@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import own_move_one_indicator, payoff_vectors
+from .model import _check_ratio, own_move_one_indicator, payoff_vectors
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
@@ -189,8 +189,7 @@ def chicken_extortion(r, lam, theta):
          theta*(1 + r - lam*(1 - r)),
          0)
     """
-    if r <= 0:
-        raise ValueError(f"profit and loss ratio must be positive, got {r}")
+    _check_ratio(r)
     _check_extortion(lam, theta)
     if r < 1.0 and lam > (1.0 + r) / (1.0 - r) + CONDITION_TOL:
         raise ValueError(

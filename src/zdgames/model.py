@@ -35,7 +35,6 @@ def _check_player(player):
 
 
 def _check_moves(n, m):
-    """ValueError unless both players have at least two moves."""
     if n < 2 or m < 2:
         raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
 
@@ -78,9 +77,7 @@ class BimatrixGame:
     Attributes
     ----------
     n, m : int
-        Number of strategies for alpha and beta; n >= 2 and m >= 2,
-        because the ZD construction needs a move 2 of each player, both to
-        absorb the mass 1 - p1 and for beta_2's column of D(p, q, f).
+        Number of strategies for alpha and beta; n >= 2 and m >= 2.
     A : ndarray, shape (n, m)
         Alpha's payoffs, ``A[i-1, j-1]`` at outcome (alpha_i, beta_j).
     B : ndarray, shape (m, n)
@@ -128,13 +125,17 @@ def make_symmetric(A):
     return make_game(A, A)
 
 
+def _check_ratio(r):
+    if not 0.0 < r < np.inf:  # NaN fails it too
+        raise ValueError(f"profit and loss ratio must be finite and positive, got {r}")
+
+
 def chicken_family(r):
     """The one-parameter Chicken/Snowdrift/Hawk-Dove family.
 
-    ``A = [[1, 1 - r], [1 + r, 0]]`` with profit-and-loss ratio r > 0.
+    ``A = [[1, 1 - r], [1 + r, 0]]`` with a finite profit-and-loss ratio r > 0.
     """
-    if r <= 0:
-        raise ValueError(f"profit and loss ratio must be positive, got {r}")
+    _check_ratio(r)
     return make_symmetric([[1.0, 1.0 - r], [1.0 + r, 0.0]])
 
 

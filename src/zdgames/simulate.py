@@ -88,15 +88,13 @@ class ExtortionEstimate:
 
 def _initial_flat(config, n, m, rng):
     start = config.initial_state
-    if isinstance(start, str):
-        if start != "uniform-random":
-            raise ValueError(f"unknown initial state {start!r}")
-        return int(rng.integers(n * m))
     if isinstance(start, StateIndex):
         if not (1 <= start.i <= n and 1 <= start.j <= m):
             raise ValueError(f"initial state {start} outside the {n}x{m} game")
-        return start.flat
-    raise ValueError("initial_state must be a StateIndex or 'uniform-random'")
+        return (start.i - 1) * m + (start.j - 1)  # start.flat may index other dims
+    if isinstance(start, str) and start == "uniform-random":
+        return int(rng.integers(n * m))
+    raise ValueError(f"initial state {start!r} is neither a StateIndex nor 'uniform-random'")
 
 
 def play(game, p, q, config):

@@ -93,11 +93,7 @@ class SynthesisResult:
 
 
 def _synthesis(player, game, g, t=1.0):
-    """``player``'s first components delta + t*g, with their feasibility report.
-
-    delta is the indicator of the player's own previous move 1 and g the
-    target direction over the nm states; every synthesis is built here.
-    """
+    """``player``'s first components delta + t*g, delta its own-move-1 indicator."""
     n, m = game.n, game.m
     raw = own_move_one_indicator(player, n, m) + t * g
     violations = tuple(

@@ -60,6 +60,10 @@ class TestTransitionMatrix:
                 for l in range(2):
                     assert P[s, 2 * k + l] == p.rows[s, k] * q.rows[s, l]
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="expected 4x4 matrix, got \\(3, 3\\)"):
+            TransitionMatrix((2, 2), np.eye(3))
+
     def test_both_always_first(self):
         P = transition_matrix(always("alpha", 1, 2, 2), always("beta", 1, 2, 2))
         assert np.array_equal(P.entries, np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))

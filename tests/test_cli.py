@@ -106,6 +106,21 @@ class TestAnalyze:
         p_path, q_path = uniform_pair(tmp_path)
         assert main(["analyze", str(bad), p_path, q_path]) == 3
 
+    def test_strategy_for_other_game_exits_3(self, tmp_path, chicken_path, rng, capsys):
+        p3_path = tmp_path / "p3.json"
+        save_strategy(rand_strategy(rng, "alpha", 3, 3), p3_path)
+        _, q_path = uniform_pair(tmp_path)
+        assert main(["analyze", chicken_path, str(p3_path), q_path]) == 3
+        assert "strategy is for a 3x3 game, not 2x2" in capsys.readouterr().err
+
+    def test_oversized_integer_exits_3(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 2, "m": 2, "A": [[1, 0], [0, 1%s]]}' % ("0" * 400), encoding="utf-8")
+        p_path, q_path = uniform_pair(tmp_path)
+        assert main(["analyze", str(big), p_path, q_path]) == 3
+        err = capsys.readouterr().err
+        assert "field 'A' row 1" in err and "Traceback" not in err
+
 
 class TestZd:
     def test_feasible_writes_strategy(self, tmp_path, chicken_path, capsys):
@@ -306,6 +321,14 @@ class TestSimulate:
             main(["simulate", chicken_path, p_path, q_path, "--rounds", "0"])
         assert exc.value.code == 3
 
+    def test_negative_burn_in_usage_error(self, tmp_path, chicken_path, capsys):
+        p_path, q_path = uniform_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", chicken_path, p_path, q_path, "--rounds", "100",
+                  "--burn-in", "-1"])
+        assert exc.value.code == 3
+        assert "expected a nonnegative count, got -1" in capsys.readouterr().err
+
 
 class TestScan:
     def test_lambda_grid_flags(self, tmp_path, chicken_path):
@@ -342,6 +365,21 @@ class TestScan:
             main(["scan", chicken_path, "--lambda-grid", "", "--out",
                   str(tmp_path / "scan.csv")])
         assert exc.value.code == 3
+
+    def test_unparsable_grid_usage_error(self, tmp_path, chicken_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", chicken_path, "--lambda-grid", "1,x", "--out",
+                  str(tmp_path / "scan.csv")])
+        assert exc.value.code == 3
+        assert "bad grid '1,x'" in capsys.readouterr().err
+
+    def test_nonpositive_theta_grid_rejected(self, tmp_path, chicken_path, capsys):
+        out = tmp_path / "scan.csv"
+        code = main(["scan", chicken_path, "--lambda-grid", "2", "--theta-grid", "0,0.1",
+                     "--out", str(out)])
+        assert code == 3
+        assert "theta grid values must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -77,6 +77,12 @@ class TestGameDocuments:
         with pytest.raises(SchemaError, match="'A'"):
             load_game(str(path))
 
+    def test_oversized_integer_rejected(self, tmp_path):
+        # json parses a 400-digit literal to an int no float can hold
+        path = write(tmp_path / "game.json", {"n": 2, "m": 2, "A": [[1, 0], [0, 10**400]]})
+        with pytest.raises(SchemaError, match="field 'A' row 1"):
+            load_game(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "game.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
@@ -129,6 +135,14 @@ class TestStrategyDocuments:
             "rows": [[0.5, 0.4]] * 4,
         }
         with pytest.raises(SchemaError, match="sums to"):
+            load_strategy(write(tmp_path / "p.json", doc))
+
+    def test_oversized_integer_rejected(self, tmp_path):
+        doc = {
+            "player": "alpha", "n": 2, "m": 2, "order": "alpha-major",
+            "rows": [[1, 0], [1, 0], [-(10**400), 1], [0, 1]],
+        }
+        with pytest.raises(SchemaError, match="field 'rows' row 2"):
             load_strategy(write(tmp_path / "p.json", doc))
 
     def test_wrong_row_count(self, rng):

@@ -242,6 +242,12 @@ class TestChickenExtortion:
         vec = chicken_extortion(1.5, 50.0, 1e-3)
         assert ((0.0 <= vec) & (vec <= 1.0)).all()
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_ratio_must_be_finite_and_positive(self, r):
+        for build in (chicken_family, lambda r: chicken_extortion(r, 2.0, 0.1)):
+            with pytest.raises(ValueError, match="ratio must be finite and positive"):
+                build(r)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             chicken_extortion(0.0, 2.0, 0.1)

@@ -91,6 +91,17 @@ class TestPlay:
         # round 1 sits at (2,2); the remaining 9 land in (1,1)
         assert np.array_equal(report.state_frequencies, [0.9, 0.0, 0.0, 0.1])
 
+    def test_initial_state_from_other_dimensions(self):
+        # both players repeat their own last move, so play never leaves the start;
+        # (2,1) is flat index 3 in a 3x3 game but 2 in this 2x2 one
+        game = chicken_family(0.5)
+        p = make_strategy("alpha", np.repeat(np.eye(2), 2, axis=0), order="alpha-major")
+        q = make_strategy("beta", np.tile(np.eye(2), (2, 1)), order="alpha-major")
+        start = StateIndex.from_pair(2, 1, 3, 3)
+        config = SimulationConfig(rounds=10, seed=1, initial_state=start, burn_in=0)
+        report = play(game, p, q, config)
+        assert np.array_equal(report.state_frequencies, [0.0, 0.0, 1.0, 0.0])
+
     def test_burn_in_counts(self, rng):
         game = chicken_family(0.5)
         p = rand_strategy(rng, "alpha", 2, 2)
@@ -105,6 +116,13 @@ class TestPlay:
         game = chicken_family(0.5)
         config = SimulationConfig(rounds=10, initial_state=StateIndex.from_pair(3, 1, 3, 2))
         with pytest.raises(ValueError, match="outside"):
+            play(game, always("alpha", 1, 2, 2), always("beta", 1, 2, 2), config)
+
+    @pytest.mark.parametrize("start", ["uniform", (2, 1)], ids=["string", "pair"])
+    def test_unknown_initial_state(self, start):
+        game = chicken_family(0.5)
+        config = SimulationConfig(rounds=10, initial_state=start)
+        with pytest.raises(ValueError, match="neither a StateIndex nor 'uniform-random'"):
             play(game, always("alpha", 1, 2, 2), always("beta", 1, 2, 2), config)
 
     def test_dimension_mismatch(self, rng):
