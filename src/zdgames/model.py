@@ -164,7 +164,7 @@ class MemoryOneStrategy:
 
 
 def _infer_dims(player, n_rows, k):
-    if n_rows % k != 0:
+    if k == 0 or n_rows % k != 0:
         raise ValueError(f"{n_rows} rows not divisible by {k} columns")
     other = n_rows // k
     n, m = (k, other) if player == "alpha" else (other, k)

@@ -115,7 +115,8 @@ class TestAnalyze:
 
     def test_oversized_integer_exits_3(self, tmp_path, capsys):
         big = tmp_path / "big.json"
-        big.write_text('{"n": 2, "m": 2, "A": [[1, 0], [0, 1%s]]}' % ("0" * 400), encoding="utf-8")
+        digits = "1" + "0" * 400
+        big.write_text('{"n": 2, "m": 2, "A": [[1, 0], [0, %s]]}' % digits, encoding="utf-8")
         p_path, q_path = uniform_pair(tmp_path)
         assert main(["analyze", str(big), p_path, q_path]) == 3
         err = capsys.readouterr().err

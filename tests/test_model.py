@@ -157,6 +157,10 @@ class TestMakeStrategy:
         assert np.array_equal(p.rows[:, 0], np.ones(4))
         assert p.rows.shape[1] == 2
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="not divisible by 0 columns"):
+            make_strategy("alpha", np.zeros((4, 0)))
+
     def test_row_sum_violation(self):
         rows = [[1.0, 0.0], [0.5, 0.4], [1.0, 0.0], [1.0, 0.0]]
         with pytest.raises(ValueError, match="sums to"):
