@@ -15,6 +15,7 @@ corank verdict under which zero-determinant synthesis is feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,11 +25,17 @@ from .model import PROB_TOL, _readonly, payoff_vectors
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
 CORANK_RTOL = 1e-10
+_MEMO_SIZE = 4  # recent strategy pairs whose chains transition_matrix keeps
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic nm x nm matrix over alpha-major joint states."""
+    """Row-stochastic nm x nm matrix over alpha-major joint states.
+
+    Immutable: ``entries`` is a read-only copy, and the factorization that
+    :func:`stationary` and the determinant functions read is computed once,
+    on first use, and kept on the instance.
+    """
 
     dims: tuple
     entries: np.ndarray
@@ -47,6 +54,24 @@ class TransitionMatrix:
             np.clip(entries, 0.0, 1.0, out=entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @cached_property
+    def _shifted(self):
+        """P - I, read-only: copy it before writing."""
+        M = _minus_identity(self.entries.copy())
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def _singular_values(self):
+        """Singular values of P - I, values only: the input of every corank verdict."""
+        sv = np.linalg.svd(self._shifted, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
+    @cached_property
+    def _stationary(self):
+        return _solve_stationary(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +115,19 @@ def _check_pair(p, q, game=None):
 
 
 def transition_matrix(p, q):
-    """Build the joint chain of alpha strategy ``p`` against beta ``q``."""
+    """The joint chain of alpha strategy ``p`` against beta ``q``.
+
+    Strategies are immutable, so the chain of one pair is built once: the
+    last few pairs queried keep theirs, with its factorization, and every
+    exact function on such a pair shares it.
+    """
     _check_pair(p, q)
+    return _chain(p, q)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _chain(p, q):
+    """The chain of a checked pair; strategies hash and compare by identity."""
     return TransitionMatrix((p.n, p.m), _joint(p, q))
 
 
@@ -125,6 +161,8 @@ def stationary(P):
     Replaces the last equation of (P - I)^T x = 0 with the normalization
     and solves the dense system directly; falls back, once, to the SVD null
     vector if that system is singular or its solution is not accepted.
+    The result is kept on ``P``, so later calls on the same chain return
+    it without solving again; a raised error is not kept.
 
     Raises
     ------
@@ -136,8 +174,12 @@ def stationary(P):
         If the fallback is not accepted either: the chain is too close to
         degenerate for double precision.
     """
-    M = _minus_identity(P.entries.copy())
-    corank = _corank(np.linalg.svd(M, compute_uv=False))
+    return P._stationary
+
+
+def _solve_stationary(P):
+    M = P._shifted
+    corank = _corank(P._singular_values)
     if corank > 1:
         raise NonUniqueStationary(corank)
 
@@ -182,7 +224,7 @@ def cofactor_row(P):
 
 def _adjugate_row(P):
     """(read-only cofactor row, singular values of P - I) from one SVD."""
-    u, sv, vt = np.linalg.svd(_minus_identity(P.entries.copy()))
+    u, sv, vt = np.linalg.svd(P._shifted)
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
     scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
     return _readonly(scale * vt[-1, -1] * u[:, -1]), sv
@@ -204,7 +246,7 @@ def zd_feasibility_condition(P):
 def expected_scores(game, p, q):
     """Long-run average payoffs (v . omega) for both players."""
     _check_pair(p, q, game)
-    return _scores(game, stationary(TransitionMatrix((p.n, p.m), _joint(p, q))).v)
+    return _scores(game, stationary(_chain(p, q)).v)
 
 
 def _scores(game, v):

@@ -17,6 +17,7 @@ from .errors import SchemaError
 from .model import make_game, make_strategy, make_symmetric
 
 _ORDER = "alpha-major"
+_SHOWN_CHARS = 24  # longest rejected value a message echoes in full
 
 
 def _require(obj, field, source):
@@ -32,6 +33,16 @@ def _int_field(obj, field, source):
     return value
 
 
+def _shown(x):
+    """``repr(x)``, or a prefix of it with its digit or character count when long."""
+    text = repr(x)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    if isinstance(x, int):
+        return f"{text[:_SHOWN_CHARS]}... ({len(text.lstrip('-'))} digits)"
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _grid(obj, field, rows, cols, source):
     value = _require(obj, field, source)
     if not isinstance(value, list) or len(value) != rows:
@@ -45,7 +56,7 @@ def _grid(obj, field, rows, cols, source):
             number = isinstance(x, (int, float)) and not isinstance(x, bool)
             # compares exactly, so an int beyond the float range fails too, as NaN does
             if not (number and abs(x) <= sys.float_info.max):
-                raise SchemaError(f"{source}: field {field!r} row {r} holds {x!r}")
+                raise SchemaError(f"{source}: field {field!r} row {r} holds {_shown(x)}")
     return value
 
 
@@ -53,7 +64,7 @@ def _load_json(path):
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes and over-long integers
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")

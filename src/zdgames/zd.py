@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_pair, _corank, _joint, _minus_identity, expected_scores
+from .chain import _chain, _check_pair, _corank, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -133,13 +133,8 @@ def _zd_matrix(p, q):
     columns, which is exactly the sequential elementary-operation result.
     Callers overwrite the final column with the vector f of D(p, q, f).
     """
-    return _unilateral_columns(_pair_minus_identity(p, q), p.m)
-
-
-def _pair_minus_identity(p, q, game=None):
-    """P - I, a new C-ordered array; checks the pair as :func:`chain._check_pair`."""
-    _check_pair(p, q, game)
-    return _minus_identity(_joint(p, q))
+    _check_pair(p, q)
+    return _unilateral_columns(_chain(p, q)._shifted.copy(), p.m)
 
 
 def _unilateral_columns(M, m):
@@ -186,12 +181,13 @@ def score_combination(game, p, q, coeffs):
         vanishing singular value of P - I (by the Markov chain tree theorem,
         exactly when D(p, q, 1) = 0), or the solve finds D singular.
     """
-    M = _pair_minus_identity(p, q, game)
-    corank = _corank(np.linalg.svd(M, compute_uv=False))
+    _check_pair(p, q, game)
+    P = _chain(p, q)
+    corank = _corank(P._singular_values)
     if corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {corank}")
     f = _final_column(p, coeffs.combine(*payoff_vectors(game)))
-    D = _unilateral_columns(M, p.m)
+    D = _unilateral_columns(P._shifted.copy(), p.m)
     D[:, -1] = 1.0
     try:
         return float(np.linalg.solve(D, f)[-1])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from zdgames import (
+    DegenerateDenominator,
     InaccurateStationary,
     NonUniqueStationary,
     SimulationConfig,
     TransitionMatrix,
+    ZDCoefficients,
     ZDGamesError,
     chicken_family,
     cofactor_row,
@@ -13,12 +15,15 @@ from zdgames import (
     make_game,
     make_strategy,
     make_symmetric,
+    payoff_vectors,
     play,
+    score_combination,
     stationary,
     transition_matrix,
     zd_feasibility_condition,
 )
 import zdgames.chain as chain_module
+import zdgames.zd as zd_module
 
 from helpers import (
     adjugate_last_row_minors,
@@ -41,13 +46,17 @@ def uniform(player, n, m):
     return make_strategy(player, np.full((n * m, k), 1.0 / k), order="alpha-major")
 
 
-def identity_chain():
+def identity_pair():
     # alpha repeats own last move, beta repeats own last move: P = I
     p_rows = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
     q_rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
     p = make_strategy("alpha", p_rows, order="alpha-major")
     q = make_strategy("beta", q_rows, order="alpha-major")
-    return transition_matrix(p, q)
+    return p, q
+
+
+def identity_chain():
+    return transition_matrix(*identity_pair())
 
 
 class TestTransitionMatrix:
@@ -236,7 +245,8 @@ class TestStationaryFallback:
 
         monkeypatch.setattr(chain_module, "_null_left", counted)
         monkeypatch.setattr(np.linalg, "solve", fake_solve)
-        v = stationary(P).v
+        # P keeps its solved v, so solve again on a fresh chain of the same entries
+        v = stationary(TransitionMatrix(P.dims, P.entries)).v
         assert len(calls) == 1
         assert np.abs(v - lu).max() <= 1e-12
         assert np.linalg.norm(v @ P.entries - v, np.inf) < 1e-9
@@ -360,3 +370,42 @@ class TestExpectedScores:
         original = expected_scores(game, p, q)
         assert abs(relabeled.pi_alpha - original.pi_alpha) < 1e-12
         assert abs(relabeled.pi_beta - original.pi_beta) < 1e-12
+
+
+class TestChainMemo:
+    """Exact functions on one pair share its chain, and never another pair's."""
+
+    @staticmethod
+    def fresh_ratio(game, P, coeffs):
+        # score_combination's Cramer solve on P - I of an unshared chain
+        D = zd_module._unilateral_columns(chain_module._minus_identity(P.entries.copy()), P.dims[1])
+        D[:, -1] = 1.0
+        return float(np.linalg.solve(D, coeffs.combine(*payoff_vectors(game)))[-1])
+
+    def test_interleaved_pairs_match_fresh_chains(self, rng):
+        n, m = 3, 2
+        p = rand_strategy(rng, "alpha", n, m)
+        q1, q2 = rand_strategy(rng, "beta", n, m), rand_strategy(rng, "beta", n, m)
+        coeffs = ZDCoefficients(0.5, -1.0, 0.25)
+        for game in (rand_game(rng, n, m), rand_game(rng, n, m)):
+            for q in (q1, q2, q1):
+                fresh = TransitionMatrix((n, m), chain_module._joint(p, q))
+                v = stationary(fresh).v
+                assert np.array_equal(stationary(transition_matrix(p, q)).v, v)
+                assert expected_scores(game, p, q) == chain_module._scores(game, v)
+                assert score_combination(game, p, q, coeffs) == self.fresh_ratio(game, fresh, coeffs)
+        assert transition_matrix(p, q1) is transition_matrix(p, q1)
+
+    def test_errors_are_raised_again(self):
+        game = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
+        p, q = identity_pair()
+        near_game, near_p, near_q = near_degenerate_3x3()
+        for _ in range(2):
+            with pytest.raises(NonUniqueStationary):
+                stationary(transition_matrix(p, q))
+            with pytest.raises(NonUniqueStationary):
+                expected_scores(game, p, q)
+            with pytest.raises(DegenerateDenominator):
+                score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+            with pytest.raises(InaccurateStationary):
+                expected_scores(near_game, near_p, near_q)

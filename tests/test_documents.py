@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestGameDocuments:
         # json parses a 400-digit literal to an int no float can hold
         path = write(tmp_path / "game.json", {"n": 2, "m": 2, "A": [[1, 0], [0, 10**400]]})
         with pytest.raises(SchemaError, match="field 'A' row 1"):
+            load_game(path)
+
+    def test_oversized_integer_message_is_bounded(self):
+        doc = {"n": 2, "m": 2, "A": [[1, 0], [0, 10**400]]}
+        with pytest.raises(SchemaError) as exc:
+            game_from_document(doc)
+        message = str(exc.value)
+        assert message.endswith("... (401 digits)")
+        assert len(message) < 80
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 2, "m": 2, "A": [[1, 0], [0, 1' + b"0" * 5000 + b"]]}",
+            b'{"n": 2, "m": 2, "A": [[1, 0], [0, 1]]}\xff',
+        ],
+        ids=["digit-limit", "undecodable-byte"],
+    )
+    def test_unparsable_file_is_named(self, tmp_path, content):
+        path = tmp_path / "game.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: invalid JSON"):
             load_game(path)
 
     def test_non_object_top_level(self, tmp_path):
