@@ -32,9 +32,9 @@ _MEMO_SIZE = 4  # recent strategy pairs whose chains transition_matrix keeps
 class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
-    Immutable: ``entries`` is a read-only copy, and the factorization that
-    :func:`stationary` and the determinant functions read is computed once,
-    on first use, and kept on the instance.
+    Immutable: ``entries`` is a read-only copy, and P - I, the stationary
+    vector and the corank of P - I, which decides every degenerate-chain
+    verdict, are computed once, on first use, and kept on the instance.
     """
 
     dims: tuple
@@ -63,11 +63,11 @@ class TransitionMatrix:
         return M
 
     @cached_property
-    def _singular_values(self):
-        """Singular values of P - I, values only: the input of every corank verdict."""
+    def _corank(self):
+        """How many singular values of P - I vanish, from a values-only SVD."""
         sv = np.linalg.svd(self._shifted, compute_uv=False)
-        sv.setflags(write=False)
-        return sv
+        # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
+        return int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
 
     @cached_property
     def _stationary(self):
@@ -143,12 +143,6 @@ def _minus_identity(P):
     return P
 
 
-def _corank(sv):
-    """The one degenerate-chain test: how many singular values of P - I vanish."""
-    # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
-    return int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
-
-
 def _null_left(M):
     # left null vector of M = right null vector of M^T, via SVD
     v = np.linalg.svd(M)[0][:, -1]
@@ -179,9 +173,8 @@ def stationary(P):
 
 def _solve_stationary(P):
     M = P._shifted
-    corank = _corank(P._singular_values)
-    if corank > 1:
-        raise NonUniqueStationary(corank)
+    if P._corank > 1:
+        raise NonUniqueStationary(P._corank)
 
     A = M.T.copy()
     A[-1, :] = 1.0
@@ -210,37 +203,32 @@ def _accepted(v, P):
 
 
 def cofactor_row(P):
-    """Last row of Adj(P - I).
+    """Last row of Adj(P - I), from a full SVD of P - I.
 
     For a unique stationary distribution the row is a scaled copy of it of
     sign (-1)^(N-1): by the Markov chain tree theorem (Leighton & Rivest
     1986) Adj(I - P) >= 0, with a positive sum exactly then.  For corank > 1
     the adjugate vanishes: round-off of either sign, zeros for the identity.
     Its scale, all but the smallest singular value of P - I multiplied, can
-    underflow to 0.0 on long slow-mixing chains whose v is unique.
+    underflow to 0.0 on long slow-mixing chains whose v is unique.  The SVD
+    is its own, so the row certifies :func:`stationary`'s v independently.
     """
-    return CofactorVector(_adjugate_row(P)[0])
-
-
-def _adjugate_row(P):
-    """(read-only cofactor row, singular values of P - I) from one SVD."""
     u, sv, vt = np.linalg.svd(P._shifted)
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
     scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
-    return _readonly(scale * vt[-1, -1] * u[:, -1]), sv
+    return CofactorVector(_readonly(scale * vt[-1, -1] * u[:, -1]))
 
 
 def zd_feasibility_condition(P):
     """Corank verdict for linear score relations, with the cofactor row.
 
     Linear score relations need D(p, q, 1), the cofactor row's sum, nonzero.
-    ``holds`` is :func:`stationary`'s corank test on the singular values of
-    the SVD that gives the row: corank 1.  By the Markov chain tree theorem
-    (Leighton & Rivest 1986) the row of a corank-1 chain is then one-signed
-    with a nonzero sum, though its value may underflow to 0.0.
+    ``holds`` is the chain's own corank test, the one :func:`stationary`
+    reads: corank 1.  By the Markov chain tree theorem (Leighton & Rivest
+    1986) the row of a corank-1 chain is then one-signed with a nonzero
+    sum, though its value may underflow to 0.0.
     """
-    c, sv = _adjugate_row(P)
-    return FeasibilityReport(_corank(sv) == 1, CofactorVector(c))
+    return FeasibilityReport(P._corank == 1, cofactor_row(P))
 
 
 def expected_scores(game, p, q):

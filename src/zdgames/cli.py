@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from .chain import (
-    _scores,
     expected_scores,
     stationary,
     transition_matrix,
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .extortion import (
     ExtortionParams,
-    _extortion_scale,
+    check_extortion_factor,
     extortion_factor_bounds,
     extortion_strategy,
 )
@@ -169,7 +168,7 @@ def cmd_analyze(args):
 
     P = transition_matrix(p, q)
     dist = stationary(P)
-    scores = _scores(game, dist.v)
+    scores = expected_scores(game, p, q)
     feas = zd_feasibility_condition(P)
     d_one = press_dyson_determinant(p, q, np.ones(nm))
 
@@ -226,29 +225,29 @@ def cmd_extort(args):
 
     if args.lam is None:
         raise _UsageError("--lambda is required unless --bounds is given")
-    limit, violated = _extortion_scale(game, args.lam)
-    if violated:
+    report = check_extortion_factor(game, args.lam)
+    if not report.ok:
         print(f"factor {args.lam} is not admissible; violated conditions:")
-        for family, i, j in violated:
+        for family, i, j in report.violated:
             print(f"  {family} ({i},{j})")
         return EXIT_INFEASIBLE
 
     if args.theta_max:
-        print(f"theta_max = {limit!r}")
+        print(f"theta_max = {report.theta_max!r}")
         return EXIT_OK
 
     if args.theta is None:
         raise _UsageError("--theta is required (or use --bounds / --theta-max)")
     result = extortion_strategy(game, ExtortionParams(args.lam, args.theta))
     if not result.feasible:
-        print(f"infeasible: theta {args.theta} exceeds theta_max {limit!r}")
+        print(f"infeasible: theta {args.theta} exceeds theta_max {report.theta_max!r}")
         _print_violations(result)
         return EXIT_INFEASIBLE
 
     nn = float(game.A[-1, -1])
     print(f"first components: {_fmt_vec(result.p1)}")
     print(f"enforces: pi_alpha - {nn!r} = {args.lam!r} * (pi_beta - {nn!r})")
-    print(f"theta_max at this factor: {limit!r}")
+    print(f"theta_max at this factor: {report.theta_max!r}")
     _save(result.complete(args.fill), args.out)
     return EXIT_OK
 
@@ -340,16 +339,15 @@ def cmd_scan(args):
 
     rows = []
     for lam in args.lambda_grid:
-        limit, violated = _extortion_scale(game, lam)
-        ok = not violated
-        limit_text = limit if ok else ""
+        report = check_extortion_factor(game, lam)
+        limit_text = report.theta_max if report.ok else ""
         if args.theta_grid is None:
-            rows.append([lam, "", ok, limit_text, ok, ""])
+            rows.append([lam, "", report.ok, limit_text, report.ok, ""])
             continue
         for theta in args.theta_grid:
             feasible = False
             residual = ""
-            if ok:
+            if report.ok:
                 result = extortion_strategy(game, ExtortionParams(lam, theta))
                 feasible = result.feasible
                 if feasible:
@@ -359,7 +357,7 @@ def cmd_scan(args):
                         verify_linear_relation(game, strategy, opp, coeffs).residual
                         for opp in opponents
                     )
-            rows.append([lam, theta, ok, limit_text, feasible, residual])
+            rows.append([lam, theta, report.ok, limit_text, feasible, residual])
 
     header = ["lambda", "theta", "lambda_ok", "theta_max", "feasible", "max_residual"]
     _write_csv(args.out, header, rows, note=f" ({len(rows)} rows)")

@@ -11,6 +11,7 @@ identical 64-bit value.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 from .errors import SchemaError
@@ -35,7 +36,13 @@ def _int_field(obj, field, source):
 
 def _shown(x):
     """``repr(x)``, or a prefix of it with its digit or character count when long."""
-    text = repr(x)
+    try:
+        text = repr(x)
+    except ValueError:  # an int past Python's int-to-str digit limit: cut it first
+        cut = int(math.log10(abs(x))) - _SHOWN_CHARS
+        head = str(abs(x) // 10**cut)  # at least _SHOWN_CHARS digits
+        text = ("-" if x < 0 else "") + head
+        return f"{text[:_SHOWN_CHARS]}... ({len(head) + cut} digits)"
     if len(text) <= _SHOWN_CHARS:
         return text
     if isinstance(x, int):
@@ -46,11 +53,11 @@ def _shown(x):
 def _grid(obj, field, rows, cols, source):
     value = _require(obj, field, source)
     if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(f"{source}: field {field!r} must be a list of {rows} rows")
+        raise SchemaError(f"{source}: field {field!r} must be a list of {_shown(rows)} rows")
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(
-                f"{source}: field {field!r} row {r} must have {cols} entries"
+                f"{source}: field {field!r} row {r} must have {_shown(cols)} entries"
             )
         for x in row:
             number = isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -75,7 +82,7 @@ def game_from_document(obj, source="<game>"):
     n = _int_field(obj, "n", source)
     m = _int_field(obj, "m", source)
     if n < 2 or m < 2:
-        raise SchemaError(f"{source}: invalid dimensions n={n}, m={m}")
+        raise SchemaError(f"{source}: invalid dimensions n={_shown(n)}, m={_shown(m)}")
     A = _grid(obj, "A", n, m, source)
     if "B" in obj:
         B = _grid(obj, "B", m, n, source)

@@ -74,11 +74,14 @@ class ConditionReport:
     (rows 2..n-1, E_ij >= 0) or "last-row" (E_nj >= 0, j < n).  An
     "interior" violation at i == j means the diagonal payoff a_ii exceeds
     a_nn, which rules out every lam > 1 on its own; a "first-row" violation
-    at (1, 1) means lam < 1.
+    at (1, 1) means lam < 1.  ``theta_max`` is the largest feasible scale
+    theta for the factor (``math.inf`` when nothing binds), and 0.0 when the
+    factor is not admissible.
     """
 
     ok: bool
     violated: tuple
+    theta_max: float
 
 
 def _require_symmetric(game):
@@ -103,24 +106,27 @@ def _extortion_vectors(game):
     return own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
 
 
-def _extortion_scale(game, lam):
-    """theta_max and the violated condition ids for the factor ``lam``."""
+def _extortion_direction(game, lam):
+    """delta and g = u - lam*w for the factor ``lam``; ValueError if g overflows."""
+    delta, u, w = _extortion_vectors(game)
+    with np.errstate(over="ignore"):
+        g = u - lam * w
+    if not np.isfinite(g).all():
+        raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
+    return delta, g
+
+
+def check_extortion_factor(game, lam):
+    """Evaluate all admissibility conditions for the factor ``lam``, with theta_max."""
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
-    delta, u, w = _extortion_vectors(game)
-    limit, blocking = _feasible_scale(delta, u - lam * w)
+    limit, blocking = _feasible_scale(*_extortion_direction(game, lam))
     violated = []
     for s in blocking:
         i, j = divmod(s, game.n)
         family = FIRST_ROW if i == 0 else LAST_ROW if i == game.n - 1 else INTERIOR
         violated.append((family, i + 1, j + 1))
-    return limit, tuple(violated)
-
-
-def check_extortion_factor(game, lam):
-    """Evaluate all admissibility conditions for the factor ``lam``."""
-    _, violated = _extortion_scale(game, lam)
-    return ConditionReport(not violated, violated)
+    return ConditionReport(not violated, tuple(violated), limit)
 
 
 def extortion_factor_bounds(game):
@@ -148,12 +154,12 @@ def extortion_strategy(game, params):
     """First components delta + theta*g of the extortionate strategy.
 
     g holds the brackets E_ij directly (see the module docstring) rather
-    than going through :func:`zdgames.zd.extortion_coefficients`, so the two
-    constructions can be checked against each other.
+    than going through :func:`zdgames.zd.extortion_coefficients`, so the
+    result is bit for bit the same after an integer shift of the payoffs.
     """
     _require_symmetric(game)
-    _, u, w = _extortion_vectors(game)
-    return _synthesis("alpha", game, u - params.lam * w, params.theta)
+    _, g = _extortion_direction(game, params.lam)
+    return _synthesis("alpha", game, g, params.theta)
 
 
 def theta_max(game, lam):
@@ -168,14 +174,15 @@ def theta_max(game, lam):
     Raises
     ------
     ValueError
-        If ``lam`` is not admissible for the game.
+        If ``lam`` is not admissible for the game, or so large that a
+        bracket E_ij overflows.
     """
-    limit, violated = _extortion_scale(game, lam)
-    if violated:
+    report = check_extortion_factor(game, lam)
+    if not report.ok:
         raise ValueError(
-            f"factor {lam} is not admissible ({len(violated)} conditions fail)"
+            f"factor {lam} is not admissible ({len(report.violated)} conditions fail)"
         )
-    return limit
+    return report.theta_max
 
 
 def chicken_extortion(r, lam, theta):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _chain, _check_pair, _corank, expected_scores
+from .chain import _chain, _check_pair, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -124,21 +124,17 @@ def _feasible_scale(delta, g):
     return float(limits.min(initial=math.inf)), blocking
 
 
-def _zd_matrix(p, q):
-    """P - I after the two unilateral column operations.
+def _zd_matrix(P):
+    """P - I of the chain ``P`` after the two unilateral column operations.
 
     Adds every column whose next alpha-move is alpha_1 into the column of
     state (alpha_1, beta_2), and every column whose next beta-move is beta_1
     into the column of (alpha_1, beta_1); both operations read the original
     columns, which is exactly the sequential elementary-operation result.
-    Callers overwrite the final column with the vector f of D(p, q, f).
+    Returns a new array: callers overwrite its final column with the vector
+    f of D(p, q, f).
     """
-    _check_pair(p, q)
-    return _unilateral_columns(_chain(p, q)._shifted.copy(), p.m)
-
-
-def _unilateral_columns(M, m):
-    """The column operations of :func:`_zd_matrix`, in place on P - I."""
+    M, m = P._shifted.copy(), P.dims[1]
     M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
     return M
 
@@ -160,7 +156,8 @@ def press_dyson_determinant(p, q, f):
     by the column placement described in :func:`_zd_matrix`.
     """
     f = _final_column(p, f)
-    D = _zd_matrix(p, q)
+    _check_pair(p, q)
+    D = _zd_matrix(_chain(p, q))
     D[:, -1] = f
     return float(np.linalg.det(D))
 
@@ -177,17 +174,16 @@ def score_combination(game, p, q, coeffs):
     ValueError
         When p and q are not an alpha and a beta strategy for ``game``.
     DegenerateDenominator
-        When :func:`chain.stationary`'s corank test finds more than one
-        vanishing singular value of P - I (by the Markov chain tree theorem,
-        exactly when D(p, q, 1) = 0), or the solve finds D singular.
+        When the chain's corank, which :func:`chain.stationary` also reads,
+        is above 1 (by the Markov chain tree theorem, exactly when
+        D(p, q, 1) = 0), or the solve finds D singular.
     """
     _check_pair(p, q, game)
     P = _chain(p, q)
-    corank = _corank(P._singular_values)
-    if corank > 1:
-        raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {corank}")
+    if P._corank > 1:
+        raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {P._corank}")
     f = _final_column(p, coeffs.combine(*payoff_vectors(game)))
-    D = _unilateral_columns(P._shifted.copy(), p.m)
+    D = _zd_matrix(P)
     D[:, -1] = 1.0
     try:
         return float(np.linalg.solve(D, f)[-1])

@@ -311,6 +311,26 @@ class TestFeasibilityCondition:
         P = transition_matrix(always("alpha", 1, 2, 2), always("beta", 1, 2, 2))
         assert zd_feasibility_condition(P).holds
 
+    def test_verdicts_read_one_corank(self, rng, monkeypatch):
+        # only the full SVD, which gives the cofactor row, sees a second zero
+        # singular value: every verdict must still read the chain's one corank
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, compute_uv=True, **kwargs):
+            result = real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+            if not compute_uv:
+                return result
+            u, sv, vt = result
+            return u, np.concatenate([sv[:-2], [0.0, 0.0]]), vt
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        game = rand_game(rng, 2, 3)
+        p, q = rand_strategy(rng, "alpha", 2, 3), rand_strategy(rng, "beta", 2, 3)
+        P = transition_matrix(p, q)
+        stationary(P)
+        assert zd_feasibility_condition(P).holds is True
+        assert np.isfinite(score_combination(game, p, q, ZDCoefficients(1.0, -1.0, 0.0)))
+
 
 class TestExpectedScores:
     def test_locked_first_outcome(self):
@@ -378,7 +398,7 @@ class TestChainMemo:
     @staticmethod
     def fresh_ratio(game, P, coeffs):
         # score_combination's Cramer solve on P - I of an unshared chain
-        D = zd_module._unilateral_columns(chain_module._minus_identity(P.entries.copy()), P.dims[1])
+        D = zd_module._zd_matrix(P)
         D[:, -1] = 1.0
         return float(np.linalg.solve(D, coeffs.combine(*payoff_vectors(game)))[-1])
 

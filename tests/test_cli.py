@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ class TestExtort:
         assert main(["extort", chicken_path, "--lambda", "2", "--theta", "0.5"]) == 1
         assert "exceeds theta_max" in capsys.readouterr().out
 
+    def test_overflowing_factor_exits_3(self, chicken_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["extort", chicken_path, "--lambda", "1.7e308", "--theta-max"])
+        assert code == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert "overflows" in err and "RuntimeWarning" not in err
+
     def test_lambda_required(self, chicken_path, capsys):
         assert main(["extort", chicken_path]) == 3
         assert "--lambda" in capsys.readouterr().err
@@ -349,6 +359,17 @@ class TestScan:
         assert all(float(row["theta_max"]) == 0.4 for row in rows)
         for row in rows[:2]:
             assert float(row["max_residual"]) < 1e-9
+
+    def test_overflowing_factor_exits_3(self, tmp_path, chicken_path, capsys):
+        out = tmp_path / "scan.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["scan", chicken_path, "--lambda-grid", "2,1.7e308", "--out", str(out)])
+        assert code == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert "overflows" in err and "RuntimeWarning" not in err
+        assert not out.exists()
 
     def test_generous_grid_rejected(self, tmp_path, chicken_path, capsys):
         out = str(tmp_path / "scan.csv")

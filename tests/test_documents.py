@@ -92,6 +92,17 @@ class TestGameDocuments:
         assert message.endswith("... (401 digits)")
         assert len(message) < 80
 
+    def test_integer_past_str_limit_rejected(self):
+        # more digits than Python converts to text: the message must not need them
+        doc = {"n": 2, "m": 2, "A": [[1, 0], [0, 10**5000]]}
+        with pytest.raises(SchemaError, match=r"field 'A' row 1 holds 1000.*\(5001 digits\)$"):
+            game_from_document(doc)
+
+    def test_dimension_past_str_limit_rejected(self):
+        doc = {"n": 10**5000, "m": 2, "A": []}
+        with pytest.raises(SchemaError, match=r"field 'A' must be a list of .*\(5001 digits\) rows"):
+            game_from_document(doc)
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -167,6 +178,18 @@ class TestStrategyDocuments:
         }
         with pytest.raises(SchemaError, match="field 'rows' row 2"):
             load_strategy(write(tmp_path / "p.json", doc))
+
+    def test_integer_past_str_limit_rejected(self):
+        doc = {
+            "player": "alpha", "n": 2, "m": 2, "order": "alpha-major",
+            "rows": [[1, 0], [1, 0], [-(10**5000), 1], [0, 1]],
+        }
+        with pytest.raises(SchemaError) as exc:
+            strategy_from_document(doc)
+        message = str(exc.value)
+        assert message.startswith("<strategy>: field 'rows' row 2 holds -1000")
+        assert message.endswith("... (5001 digits)")
+        assert len(message) < 80
 
     def test_wrong_row_count(self, rng):
         doc = strategy_to_document(rand_strategy(rng, "alpha", 2, 2))

@@ -82,6 +82,22 @@ class TestCheckFactor:
         with pytest.raises(ValueError, match="relabel"):
             check_extortion_factor(make_symmetric([[0.0, 1.0], [1.0, 2.0]]), 2.0)
 
+    def test_reports_theta_max(self):
+        assert check_extortion_factor(chicken_family(0.5), 2.0).theta_max == 0.4
+        assert check_extortion_factor(chicken_family(0.5), 4.0).theta_max == 0.0
+        # huge factors whose brackets stay finite are judged as usual
+        assert check_extortion_factor(chicken_family(0.5), 1e308).theta_max == 0.0
+        assert check_extortion_factor(PD, 1e300).theta_max == 2.5e-301
+
+    @pytest.mark.parametrize("game", [chicken_family(0.5), PD])
+    def test_overflowing_factor_rejected(self, game):
+        # u - lam*w overflows to -inf, which no tolerance may read as admissible
+        for check in (check_extortion_factor, theta_max):
+            with pytest.raises(ValueError, match="overflows"):
+                check(game, 1.7e308)
+        with pytest.raises(ValueError, match="overflows"):
+            extortion_strategy(game, ExtortionParams(1.7e308, 0.1))
+
 
 class TestFactorBounds:
     def test_chicken_half(self):
@@ -208,6 +224,22 @@ def test_admissibility_ignores_payoff_scale_and_shift(problem, s, c):
         limit = theta_max(game, lam)
         moved_limit = s * theta_max(moved, lam)
         assert moved_limit == limit or abs(moved_limit - limit) <= 1e-9 * limit
+
+
+@given(extortion_problems(), st.integers(-100, 100), st.integers(-20, 20),
+       st.floats(0.01, 1.0))
+def test_bracket_route_is_exact_under_shift_and_power_of_two_scale(problem, c, k, share):
+    # integer shifts and power-of-two scales leave u - lam*w exact, so the
+    # bracket route gives the same bits; the coefficient route does not
+    A, lam = problem
+    game = make_symmetric(A)
+    if not check_extortion_factor(game, lam).ok:
+        return
+    theta = share * min(theta_max(game, lam), 1.0)
+    p1 = extortion_strategy(game, ExtortionParams(lam, theta)).p1
+    moved = make_symmetric(math.ldexp(1.0, k) * (A + c))
+    moved_p1 = extortion_strategy(moved, ExtortionParams(lam, math.ldexp(theta, -k))).p1
+    assert moved_p1.tobytes() == p1.tobytes()
 
 
 class TestChickenExtortion:

@@ -93,7 +93,7 @@ class TestDeterminant:
         for n, m in [(2, 2), (3, 3)]:
             p = rand_strategy(rng, "alpha", n, m)
             q = rand_strategy(rng, "beta", n, m)
-            hat = _zd_matrix(p, q)
+            hat = _zd_matrix(transition_matrix(p, q))
             scale = max(1.0, float(np.prod(np.linalg.norm(hat, axis=0))))
             assert abs(np.linalg.det(hat)) <= 1e-9 * scale
 
@@ -170,7 +170,8 @@ class TestScoreCombination:
             return [make_strategy(player, np.asarray(r, order=order), order="alpha-major")
                     for player, r in zip(("alpha", "beta"), rows)]
 
-        assert np.array_equal(_zd_matrix(*pair("F")), _zd_matrix(*pair("C")))
+        assert np.array_equal(_zd_matrix(transition_matrix(*pair("F"))),
+                              _zd_matrix(transition_matrix(*pair("C"))))
         coeffs = ZDCoefficients(0.5, -1.0, 0.25)
         assert score_combination(game, *pair("F"), coeffs) == score_combination(
             game, *pair("C"), coeffs
