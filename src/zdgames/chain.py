@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InaccurateStationary, NonUniqueStationary
-from .model import PROB_TOL, _readonly, payoff_vectors
+from .model import PROB_TOL, _frozen, payoff_vectors
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
@@ -32,9 +32,9 @@ _MEMO_SIZE = 4  # recent strategy pairs whose chains transition_matrix keeps
 class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
-    Immutable: ``entries`` is a read-only copy, and P - I, the stationary
-    vector and the corank of P - I, which decides every degenerate-chain
-    verdict, are computed once, on first use, and kept on the instance.
+    Immutable: ``entries`` is a read-only copy; P - I, its one SVD, its
+    corank, which decides every degenerate-chain verdict, and the stationary
+    vector are computed once, on first use, and kept on the instance.
     """
 
     dims: tuple
@@ -58,14 +58,17 @@ class TransitionMatrix:
     @cached_property
     def _shifted(self):
         """P - I, read-only: copy it before writing."""
-        M = _minus_identity(self.entries.copy())
-        M.setflags(write=False)
-        return M
+        return _frozen(_minus_identity(self.entries.copy()))
+
+    @cached_property
+    def _svd(self):
+        """(u, sv, vt) of P - I, read-only: the chain's one factorization by SVD."""
+        return tuple(map(_frozen, np.linalg.svd(self._shifted)))
 
     @cached_property
     def _corank(self):
-        """How many singular values of P - I vanish, from a values-only SVD."""
-        sv = np.linalg.svd(self._shifted, compute_uv=False)
+        """How many singular values of P - I vanish."""
+        sv = self._svd[1]
         # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
         return int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
 
@@ -143,10 +146,16 @@ def _minus_identity(P):
     return P
 
 
-def _null_left(M):
-    # left null vector of M = right null vector of M^T, via SVD
-    v = np.linalg.svd(M)[0][:, -1]
+def _null_left(P):
+    # left null vector of P - I = its last left singular vector
+    v = P._svd[0][:, -1]
     return -v if v.sum() < 0 else v
+
+
+@lru_cache(maxsize=None)
+def _unit_last(N):
+    """e_N, the read-only right-hand side of the stationary solve."""
+    return _frozen(np.eye(1, N, N - 1)[0])
 
 
 def stationary(P):
@@ -172,19 +181,16 @@ def stationary(P):
 
 
 def _solve_stationary(P):
-    M = P._shifted
     if P._corank > 1:
         raise NonUniqueStationary(P._corank)
 
-    A = M.T.copy()
+    A = P._shifted.T.copy()
     A[-1, :] = 1.0
-    rhs = np.zeros(A.shape[0])
-    rhs[-1] = 1.0
     try:
-        v = _accepted(np.linalg.solve(A, rhs), P)
+        v = _accepted(np.linalg.solve(A, _unit_last(len(A))), P)
     except (np.linalg.LinAlgError, InaccurateStationary):
-        v = _accepted(_null_left(M), P)
-    return StationaryDistribution(_readonly(v))
+        v = _accepted(_null_left(P), P)
+    return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
 
 
 def _accepted(v, P):
@@ -203,20 +209,21 @@ def _accepted(v, P):
 
 
 def cofactor_row(P):
-    """Last row of Adj(P - I), from a full SVD of P - I.
+    """Last row of Adj(P - I), from the chain's SVD of P - I.
 
     For a unique stationary distribution the row is a scaled copy of it of
     sign (-1)^(N-1): by the Markov chain tree theorem (Leighton & Rivest
     1986) Adj(I - P) >= 0, with a positive sum exactly then.  For corank > 1
     the adjugate vanishes: round-off of either sign, zeros for the identity.
     Its scale, all but the smallest singular value of P - I multiplied, can
-    underflow to 0.0 on long slow-mixing chains whose v is unique.  The SVD
-    is its own, so the row certifies :func:`stationary`'s v independently.
+    underflow to 0.0 on long slow-mixing chains whose v is unique.  It is
+    the chain's SVD, which the LU solve for v never reads, so the row
+    certifies :func:`stationary`'s v independently.
     """
-    u, sv, vt = np.linalg.svd(P._shifted)
+    u, sv, vt = P._svd
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
     scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
-    return CofactorVector(_readonly(scale * vt[-1, -1] * u[:, -1]))
+    return CofactorVector(_frozen(scale * vt[-1, -1] * u[:, -1]))
 
 
 def zd_feasibility_condition(P):

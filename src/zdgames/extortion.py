@@ -219,14 +219,18 @@ def n2_conditions(game, lam):
     True iff a_12 - a_22 - lam*(a_21 - a_22) <= 0 and
     a_21 - a_22 - lam*(a_12 - a_22) >= 0, up to 1e-12 times the payoff
     spread so the verdict does not depend on the payoff scale; agrees with
-    :func:`check_extortion_factor` on every symmetric 2x2 game.
+    :func:`check_extortion_factor` on every symmetric 2x2 game, and raises
+    its ValueError on a factor so large that a bracket overflows.
     """
     _check_factor(lam)
     A = _require_symmetric(game)
     if game.n != 2:
         raise ValueError(f"two-strategy test on an {game.n}x{game.n} game")
     nn = A[1, 1]
-    first = (A[0, 1] - nn) - lam * (A[1, 0] - nn)
-    last = (A[1, 0] - nn) - lam * (A[0, 1] - nn)
+    with np.errstate(over="ignore"):
+        first = (A[0, 1] - nn) - lam * (A[1, 0] - nn)
+        last = (A[1, 0] - nn) - lam * (A[0, 1] - nn)
+    if not (np.isfinite(first) and np.isfinite(last)):
+        raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
     tol = CONDITION_TOL * np.ptp(A)
     return bool(first <= tol and last >= -tol)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,11 @@ def _check_moves(n, m):
 
 
 def _readonly(a):
-    a = np.array(a, dtype=float)
+    return _frozen(np.array(a, dtype=float))
+
+
+def _frozen(a):
+    """``a`` itself, made read-only: for an array or view the caller just made."""
     a.setflags(write=False)
     return a
 
@@ -95,6 +100,11 @@ class BimatrixGame:
         """True when both players face the identical payoff table."""
         return self.n == self.m and np.array_equal(self.A, self.B)
 
+    @cached_property
+    def _payoffs(self):
+        """:func:`payoff_vectors`' pair, kept read-only on the game."""
+        return _frozen(self.A.ravel()), _frozen(self.B.T.ravel())
+
 
 def make_game(A, B):
     """Validate payoff tables and build a :class:`BimatrixGame`."""
@@ -143,9 +153,10 @@ def payoff_vectors(game):
     """(omega_alpha, omega_beta): both players' payoffs over the nm states, alpha-major.
 
     ``A`` raveled, and ``B`` transposed and then raveled: beta's payoff at
-    state (i, j), ``B[j-1, i-1]``, sits at the flat index of (i, j).
+    state (i, j), ``B[j-1, i-1]``, sits at the flat index of (i, j).  Both
+    arrays are read-only and computed once per game.
     """
-    return game.A.ravel(), game.B.T.ravel()
+    return game._payoffs
 
 
 @dataclass(frozen=True, eq=False)

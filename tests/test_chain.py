@@ -17,6 +17,7 @@ from zdgames import (
     make_symmetric,
     payoff_vectors,
     play,
+    press_dyson_determinant,
     score_combination,
     stationary,
     transition_matrix,
@@ -312,24 +313,46 @@ class TestFeasibilityCondition:
         assert zd_feasibility_condition(P).holds
 
     def test_verdicts_read_one_corank(self, rng, monkeypatch):
-        # only the full SVD, which gives the cofactor row, sees a second zero
-        # singular value: every verdict must still read the chain's one corank
+        # the chain's one SVD reports a second zero singular value: every
+        # verdict reads the corank it gives, so all three flip together
         real_svd = np.linalg.svd
 
-        def svd(a, *args, compute_uv=True, **kwargs):
-            result = real_svd(a, *args, compute_uv=compute_uv, **kwargs)
-            if not compute_uv:
-                return result
-            u, sv, vt = result
+        def svd(a, *args, **kwargs):
+            u, sv, vt = real_svd(a, *args, **kwargs)
             return u, np.concatenate([sv[:-2], [0.0, 0.0]]), vt
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         game = rand_game(rng, 2, 3)
         p, q = rand_strategy(rng, "alpha", 2, 3), rand_strategy(rng, "beta", 2, 3)
         P = transition_matrix(p, q)
-        stationary(P)
-        assert zd_feasibility_condition(P).holds is True
-        assert np.isfinite(score_combination(game, p, q, ZDCoefficients(1.0, -1.0, 0.0)))
+        with pytest.raises(NonUniqueStationary):
+            stationary(P)
+        assert zd_feasibility_condition(P).holds is False
+        with pytest.raises(DegenerateDenominator):
+            score_combination(game, p, q, ZDCoefficients(1.0, -1.0, 0.0))
+
+    def test_one_svd_per_chain(self, rng, monkeypatch):
+        real_svd = np.linalg.svd
+        calls = []
+
+        def svd(*args, **kwargs):
+            calls.append(args)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        game = rand_game(rng, 3, 2)
+        p, q = rand_strategy(rng, "alpha", 3, 2), rand_strategy(rng, "beta", 3, 2)
+        stationary(transition_matrix(p, q))
+        expected_scores(game, p, q)
+        zd_feasibility_condition(transition_matrix(p, q))
+        coeffs = ZDCoefficients(1.0, -1.0, 0.0)
+        score_combination(game, p, q, coeffs)
+        press_dyson_determinant(p, q, coeffs.combine(*payoff_vectors(game)))
+        assert len(calls) == 1
+        # the payoff vectors, too, are computed once per game and shared read-only
+        pair = payoff_vectors(game)
+        assert all(a is b for a, b in zip(payoff_vectors(game), pair))
+        assert not any(w.flags.writeable for w in pair)
 
 
 class TestExpectedScores:

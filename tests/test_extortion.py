@@ -319,3 +319,18 @@ class TestN2Conditions:
         # as check_extortion_factor does, rather than returning a verdict
         with pytest.raises(ValueError, match="extortion factor must be finite"):
             n2_conditions(chicken_family(0.5), lam)
+
+    @pytest.mark.parametrize("game", [chicken_family(0.5), PD])
+    def test_overflowing_factor_rejected(self, game):
+        # as check_extortion_factor does, rather than warning and returning a verdict
+        for check in (n2_conditions, check_extortion_factor):
+            with pytest.raises(ValueError, match=r"factor 1\.7e\+308 overflows"):
+                check(game, 1.7e308)
+
+        def verdict(check):
+            try:
+                return check(game, 1e308)
+            except ValueError as exc:
+                return str(exc)
+
+        assert verdict(n2_conditions) == verdict(lambda g, lam: check_extortion_factor(g, lam).ok)
