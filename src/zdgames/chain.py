@@ -32,9 +32,12 @@ _MEMO_SIZE = 4  # recent strategy pairs whose chains transition_matrix keeps
 class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
-    Immutable: ``entries`` is a read-only copy; P - I, its one SVD, its
-    corank, which decides every degenerate-chain verdict, and the stationary
-    vector are computed once, on first use, and kept on the instance.
+    Immutable: P - I, its one SVD, its corank, which decides every
+    degenerate-chain verdict, and the stationary vector are computed once,
+    on first use, and kept on the instance.  Direct construction validates
+    ``entries`` and keeps a read-only copy; the chain of a strategy pair
+    (:func:`transition_matrix`) holds the joint product itself, which its
+    checked strategies already make stochastic.
     """
 
     dims: tuple
@@ -130,8 +133,15 @@ def transition_matrix(p, q):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _chain(p, q):
-    """The chain of a checked pair; strategies hash and compare by identity."""
-    return TransitionMatrix((p.n, p.m), _joint(p, q))
+    """The chain of a checked pair; strategies hash and compare by identity.
+
+    Skips the constructor's checks: rows in [0, 1] summing to 1 within
+    PROB_TOL give products in [0, 1] whose rows sum to 1 within ROW_SUM_TOL.
+    """
+    P = object.__new__(TransitionMatrix)
+    object.__setattr__(P, "dims", (p.n, p.m))
+    object.__setattr__(P, "entries", _frozen(_joint(p, q)))
+    return P
 
 
 def _joint(p, q):
@@ -203,7 +213,7 @@ def _accepted(v, P):
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
     v = v / v.sum()
-    if not np.abs(v @ P.entries - v).max() <= STATIONARY_RESIDUAL_TOL:
+    if not np.abs(v @ P._shifted).max() <= STATIONARY_RESIDUAL_TOL:
         raise InaccurateStationary("stationary residual above tolerance after fallback")
     return v
 
@@ -222,8 +232,10 @@ def cofactor_row(P):
     """
     u, sv, vt = P._svd
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
-    scale = (-1.0) ** (len(sv) - 1) * np.sign(vt[-1, -1] * u[:, -1].sum()) * sv[:-1].prod()
-    return CofactorVector(_frozen(scale * vt[-1, -1] * u[:, -1]))
+    w = float(vt[-1, -1])
+    dot = w * float(u[:, -1].sum())
+    scale = (-1.0) ** (len(sv) - 1) * ((dot > 0.0) - (dot < 0.0)) * float(sv[:-1].prod())
+    return CofactorVector(_frozen(scale * w * u[:, -1]))
 
 
 def zd_feasibility_condition(P):

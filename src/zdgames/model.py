@@ -165,7 +165,10 @@ class MemoryOneStrategy:
 
     ``rows[s]`` is the distribution over the player's K moves conditional on
     the previous joint state with flat index s (alpha-major for both
-    players); K = n for alpha, m for beta.
+    players); K = n for alpha, m for beta.  Build one with
+    :func:`make_strategy`, :func:`complete_from_first_component`,
+    ``SynthesisResult.complete`` or ``load_strategy``: the bare dataclass
+    does not validate, and the exact and simulation paths trust its rows.
     """
 
     player: str
@@ -214,7 +217,7 @@ def make_strategy(player, rows, order="native"):
     sums = rows.sum(axis=1)
     if (np.abs(sums - 1.0) > PROB_TOL).any():
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"row {worst} sums to {sums[worst]!r}, expected 1")
+        raise ValueError(f"row {worst} sums to {float(sums[worst])!r}, expected 1")
     if player == "beta" and order == "native":
         # (beta_j, alpha_i)-major -> alpha-major is the block transpose
         rows = rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n_rows, k)
@@ -239,19 +242,27 @@ def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):
     The remaining mass ``1 - p1[s]`` in each row is distributed over moves
     2..K by ``fill_rule``: spread evenly ("uniform"), placed on the last
     move ("all-to-last"), or on move 2 ("all-to-second").  The rules
-    coincide when K = 2.
+    coincide when K = 2.  ``p1`` is checked once, against [0, 1] up to
+    1e-12, and clipped; the rows built from it are stochastic by
+    construction and are not validated again.
     """
     _check_player(player)
-    if fill_rule not in FILL_RULES:
-        raise ValueError(f"unknown fill rule {fill_rule!r}; choose from {FILL_RULES}")
     _check_moves(n, m)
     p1 = np.asarray(p1, dtype=float)
     if p1.shape != (n * m,):
         raise ValueError(f"expected {n * m} first components, got shape {p1.shape}")
-    if (p1 < -PROB_TOL).any() or (p1 > 1.0 + PROB_TOL).any():
+    if not ((p1 >= -PROB_TOL) & (p1 <= 1.0 + PROB_TOL)).all():  # NaN fails it too
         bad = int(np.argmax(np.clip(-p1, 0, None) + np.clip(p1 - 1.0, 0, None)))
-        raise ValueError(f"first component at state {bad} is {p1[bad]!r}, outside [0, 1]")
-    p1 = np.clip(p1, 0.0, 1.0)
+        raise ValueError(
+            f"first component at state {bad} is {float(p1[bad])!r}, outside [0, 1]"
+        )
+    return _completed(player, np.clip(p1, 0.0, 1.0), n, m, fill_rule)
+
+
+def _completed(player, p1, n, m, fill_rule):
+    """The strategy whose first components are ``p1``, already inside [0, 1]."""
+    if fill_rule not in FILL_RULES:
+        raise ValueError(f"unknown fill rule {fill_rule!r}; choose from {FILL_RULES}")
     k = n if player == "alpha" else m
     rows = np.zeros((n * m, k))
     rows[:, 0] = p1
@@ -262,4 +273,4 @@ def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):
         rows[:, -1] = rest
     else:
         rows[:, 1] = rest
-    return make_strategy(player, rows, order="alpha-major")
+    return MemoryOneStrategy(player, n, m, _frozen(rows))

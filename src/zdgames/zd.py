@@ -31,8 +31,8 @@ from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
     StateIndex,
+    _completed,
     _readonly,
-    complete_from_first_component,
     own_move_one_indicator,
     payoff_vectors,
 )
@@ -81,25 +81,26 @@ class SynthesisResult:
     violations: tuple
 
     def complete(self, fill_rule="uniform"):
-        """Extend to a full strategy; rejects infeasible results."""
+        """Extend to a full strategy; rejects infeasible results.
+
+        ``p1`` is not checked again: the synthesis already checked and clipped it.
+        """
         if not self.feasible:
             raise ValueError(
                 f"cannot complete an infeasible synthesis ({len(self.violations)} "
                 f"entries outside [0, 1])"
             )
-        return complete_from_first_component(
-            self.player, self.p1, self.n, self.m, fill_rule
-        )
+        return _completed(self.player, self.p1, self.n, self.m, fill_rule)
 
 
 def _synthesis(player, game, g, t=1.0):
     """``player``'s first components delta + t*g, delta its own-move-1 indicator."""
     n, m = game.n, game.m
     raw = own_move_one_indicator(player, n, m) + t * g
+    outside = ~((raw >= -PROB_TOL) & (raw <= 1.0 + PROB_TOL))  # NaN fails it too
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
-        for s in range(n * m)
-        if not -PROB_TOL <= raw[s] <= 1.0 + PROB_TOL  # NaN fails it too
+        for s in np.flatnonzero(outside).tolist()
     )
     feasible = not violations
     p1 = np.clip(raw, 0.0, 1.0) if feasible else raw
@@ -139,23 +140,17 @@ def _zd_matrix(P):
     return M
 
 
-def _final_column(p, f):
-    """``f`` as a float nm-vector; ValueError on a wrong shape or a non-finite entry."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (p.n * p.m,):
-        raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
-    return f
-
-
 def press_dyson_determinant(p, q, f):
     """Evaluate D(p, q, f).
 
     Only ratios of two D values are meaningful; the sign convention is fixed
     by the column placement described in :func:`_zd_matrix`.
     """
-    f = _final_column(p, f)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (p.n * p.m,):
+        raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
     _check_pair(p, q)
     D = _zd_matrix(_chain(p, q))
     D[:, -1] = f
@@ -182,7 +177,9 @@ def score_combination(game, p, q, coeffs):
     P = _chain(p, q)
     if P._corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {P._corank}")
-    f = _final_column(p, coeffs.combine(*payoff_vectors(game)))
+    f = coeffs.combine(*payoff_vectors(game))
+    if not np.isfinite(f).all():  # huge coefficients overflow
+        raise ValueError("f must be finite")
     D = _zd_matrix(P)
     D[:, -1] = 1.0
     try:

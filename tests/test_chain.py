@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zdgames import (
+    FILL_RULES,
     DegenerateDenominator,
     InaccurateStationary,
     NonUniqueStationary,
@@ -16,6 +19,7 @@ from zdgames import (
     make_strategy,
     make_symmetric,
     payoff_vectors,
+    pin_opponent_score,
     play,
     press_dyson_determinant,
     score_combination,
@@ -24,6 +28,7 @@ from zdgames import (
     zd_feasibility_condition,
 )
 import zdgames.chain as chain_module
+import zdgames.model as model_module
 import zdgames.zd as zd_module
 
 from helpers import (
@@ -133,6 +138,77 @@ class TestTransitionMatrix:
         assert not P.entries.flags.writeable
         with pytest.raises(ValueError):
             P.entries[0, 0] = 1.0
+
+
+def checked_strategy(rng, player, n, m, kind):
+    """A strategy of pure, Dirichlet or 1e-12-perturbed rows, through make_strategy.
+
+    Perturbed rows are pure or Dirichlet rows moved by at most 0.9e-12 / K
+    per entry: entries up to just outside [0, 1] and row sums up to just off
+    1, the edge of what make_strategy accepts and clips.
+    """
+    k = n if player == "alpha" else m
+    if kind == "pure":
+        rows = np.eye(k)[rng.integers(k, size=n * m)]
+    else:
+        rows = rng.dirichlet(np.ones(k), size=n * m)
+    if kind == "perturbed":
+        pure = rng.random(n * m) < 0.5
+        rows[pure] = np.eye(k)[rng.integers(k, size=int(pure.sum()))]
+        rows += rng.uniform(-1.0, 1.0, size=rows.shape) * 0.9e-12 / k
+    return make_strategy(player, rows, order="alpha-major")
+
+
+ROW_KINDS = st.sampled_from(["pure", "dirichlet", "perturbed"])
+
+
+class TestPairChainTrustsCheckedStrategies:
+    @given(st.integers(2, 4), st.integers(2, 4), ROW_KINDS, ROW_KINDS,
+           st.integers(0, 2**32 - 1))
+    def test_unvalidated_chain_is_what_validation_builds(self, n, m, kind_p, kind_q, seed):
+        # the pair's chain skips TransitionMatrix's checks; on checked
+        # strategies the checked constructor neither raises nor clips
+        rng = np.random.default_rng(seed)
+        p = checked_strategy(rng, "alpha", n, m, kind_p)
+        q = checked_strategy(rng, "beta", n, m, kind_q)
+        joint = chain_module._joint(p, q)
+        checked = TransitionMatrix((n, m), joint)
+        chain = transition_matrix(p, q)
+        assert checked.entries.tobytes() == joint.tobytes()
+        assert chain.entries.tobytes() == joint.tobytes()
+        assert chain.entries.shape == (n * m, n * m) and chain.dims == (n, m)
+        assert not chain.entries.flags.writeable
+
+    def test_each_input_is_checked_once(self, rng, monkeypatch):
+        # a fresh pair's chain is built without TransitionMatrix's checks and
+        # solved by one SVD and two LU solves; a completion reuses none of
+        # make_strategy's checks
+        game = rand_game(rng, 3, 2)
+        p, q = rand_strategy(rng, "alpha", 3, 2), rand_strategy(rng, "beta", 3, 2)
+        calls = dict.fromkeys(["__post_init__", "solve", "svd", "make_strategy"], 0)
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [(TransitionMatrix, "__post_init__"), (np.linalg, "solve"),
+                            (np.linalg, "svd"), (model_module, "make_strategy")]:
+            counting(owner, name)
+        stationary(transition_matrix(p, q))
+        expected_scores(game, p, q)
+        zd_feasibility_condition(transition_matrix(p, q))
+        coeffs = ZDCoefficients(1.0, -1.0, 0.0)
+        score_combination(game, p, q, coeffs)
+        press_dyson_determinant(p, q, coeffs.combine(*payoff_vectors(game)))
+        result, _ = pin_opponent_score(chicken_family(0.5), "alpha", 0.6)
+        for fill_rule in FILL_RULES:
+            result.complete(fill_rule)
+        assert calls == {"__post_init__": 0, "solve": 2, "svd": 1, "make_strategy": 0}
 
 
 class TestStationary:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -166,6 +168,11 @@ class TestMakeStrategy:
         with pytest.raises(ValueError, match="sums to"):
             make_strategy("alpha", rows)
 
+    def test_row_sum_message_prints_a_float(self):
+        # the sum as a Python float, not numpy 2's repr np.float64(1.4)
+        with pytest.raises(ValueError, match=r"row 0 sums to 1\.4, expected 1"):
+            make_strategy("alpha", [[0.7, 0.7]] + [[1.0, 0.0]] * 3)
+
     def test_uniform_rows(self):
         p = make_strategy("alpha", np.full((6, 3), 1.0 / 3.0))
         assert (p.n, p.m) == (3, 2)
@@ -233,6 +240,17 @@ class TestCompleteFromFirstComponent:
     def test_out_of_range_entry(self):
         with pytest.raises(ValueError, match="outside"):
             complete_from_first_component("alpha", [1.2, 0.5, 0.5, 0.5], 2, 2)
+
+    @pytest.mark.parametrize("player", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_bad_entry_names_its_state(self, player, bad):
+        # NaN fails every comparison, so a range test of the form
+        # "any entry below 0 or above 1" lets it through
+        p1 = np.full(6, 0.5)
+        p1[4] = bad
+        message = rf"state 4 is {re.escape(repr(bad))}, outside \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            complete_from_first_component(player, p1, 2, 3)
 
     def test_all_to_last(self):
         p = complete_from_first_component("alpha", np.full(6, 0.4), 3, 2, "all-to-last")

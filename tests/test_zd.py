@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zdgames import (
+    FILL_RULES,
     DegenerateDenominator,
     NoFeasiblePin,
     ZDCoefficients,
     chicken_family,
+    complete_from_first_component,
     expected_scores,
     extortion_coefficients,
     make_game,
@@ -243,6 +245,28 @@ class TestSynthesis:
         assert not result.feasible
         assert [state.flat for state, _ in result.violations] == [1]
         assert math.isnan(result.violations[0][1])
+
+    @given(st.integers(2, 4), st.integers(2, 4), st.sampled_from(["alpha", "beta"]),
+           st.integers(0, 2**32 - 1))
+    def test_completion_is_what_make_strategy_accepts(self, n, m, player, seed):
+        # complete() builds its strategy without make_strategy's checks: on
+        # first components at, inside and just outside the box edges, its
+        # rows pass them unchanged, bit for bit
+        rng = np.random.default_rng(seed)
+        edges = rng.choice([0.0, 1.0, -5e-13, 1.0 + 5e-13], size=n * m)
+        p1 = np.where(rng.random(n * m) < 0.5, edges, rng.random(n * m))
+        delta = own_move_one_indicator(player, n, m)
+        g = p1 - delta
+        result = _synthesis(player, make_game(np.zeros((n, m)), np.zeros((m, n))), g)
+        assert result.feasible
+        for fill_rule in FILL_RULES:
+            strategy = result.complete(fill_rule)
+            for other in (make_strategy(player, strategy.rows, "alpha-major"),
+                          complete_from_first_component(player, delta + g, n, m, fill_rule)):
+                assert (other.player, other.n, other.m) == (player, n, m)
+                assert other.rows.tobytes() == strategy.rows.tobytes()
+            assert (strategy.player, strategy.n, strategy.m) == (player, n, m)
+            assert not strategy.rows.flags.writeable
 
 
 class TestPinning:
