@@ -181,8 +181,10 @@ def stationary(P):
     ------
     NonUniqueStationary
         If P - I has more than one singular value at most 1e-10 times the
-        largest or 1e-10, whichever is bigger, i.e. the chain is reducible or
-        periodic and the long-run outcome depends on the starting state.
+        largest or 1e-10, whichever is bigger, i.e. the chain has several
+        closed classes, or a coupling under the 1e-10 floor, and the long-run
+        outcome depends on the starting state.  A periodic chain with one
+        closed class has a unique v and does not raise.
     InaccurateStationary
         If the fallback is not accepted either: the chain is too close to
         degenerate for double precision.

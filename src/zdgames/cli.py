@@ -331,8 +331,8 @@ def cmd_scan(args):
     game = load_game(args.game)
     if any(lam < 1.0 for lam in args.lambda_grid):
         raise _UsageError("lambda grid values must be at least 1")
-    if args.theta_grid is not None and any(t <= 0.0 for t in args.theta_grid):
-        raise _UsageError("theta grid values must be positive")
+    if args.theta_grid is not None and not all(0.0 < t < math.inf for t in args.theta_grid):
+        raise _UsageError("theta grid values must be positive and finite")
 
     opponents = _random_opponents("beta", game.n, game.m, args.opponents, args.seed)
     nn = float(game.A[-1, -1])

@@ -225,6 +225,19 @@ class TestStationary:
             stationary(identity_chain())
         assert exc.value.corank == 4
 
+    def test_periodic_chain_is_unique(self):
+        # a 4-cycle through every outcome: periodic, one closed class
+        game = chicken_family(0.5)
+        p = make_strategy("alpha", [[1, 0], [0, 1], [1, 0], [0, 1]], order="alpha-major")
+        q = make_strategy("beta", [[0, 1], [0, 1], [1, 0], [1, 0]], order="alpha-major")
+        P = transition_matrix(p, q)
+        assert np.array_equal(np.linalg.matrix_power(P.entries, 4), np.eye(4))
+        assert np.allclose(stationary(P).v, 0.25, rtol=0, atol=1e-14)
+        assert zd_feasibility_condition(P).holds is True
+        coeffs = ZDCoefficients(0.3, -0.7, 0.2)
+        f = coeffs.combine(*payoff_vectors(game))
+        assert abs(score_combination(game, p, q, coeffs) - f.mean()) <= 1e-14
+
     def test_residual_and_simplex(self, rng):
         for n, m in [(2, 2), (2, 3), (3, 3)] * 7:
             P = transition_matrix(rand_strategy(rng, "alpha", n, m), rand_strategy(rng, "beta", n, m))

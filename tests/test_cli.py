@@ -395,9 +395,11 @@ class TestScan:
         assert exc.value.code == 3
         assert "bad grid '1,x'" in capsys.readouterr().err
 
-    def test_nonpositive_theta_grid_rejected(self, tmp_path, chicken_path, capsys):
+    @pytest.mark.parametrize("lam", ["2", "100"])
+    @pytest.mark.parametrize("grid", ["0,0.1", "nan", "inf"])
+    def test_nonpositive_theta_grid_rejected(self, tmp_path, chicken_path, capsys, grid, lam):
         out = tmp_path / "scan.csv"
-        code = main(["scan", chicken_path, "--lambda-grid", "2", "--theta-grid", "0,0.1",
+        code = main(["scan", chicken_path, "--lambda-grid", lam, "--theta-grid", grid,
                      "--out", str(out)])
         assert code == 3
         assert "theta grid values must be positive" in capsys.readouterr().err

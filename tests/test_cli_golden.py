@@ -1,24 +1,19 @@
-"""CLI transcript against the one recorded by make_cli_golden.py.
+"""CLI transcript against the one recorded in golden_cli.json.
 
 Every case must reproduce its exit code, stdout, stderr and written files
-byte for byte, and the inputs must still be what the script writes today.
+byte for byte, and the inputs must still be what goldens.py writes today.
 """
-
-import json
-import pathlib
 
 import pytest
 
-from make_cli_golden import CASES, build_inputs, run_case
+from goldens import CLI_CASES, cli_inputs, recorded, run_case
 
-GOLDEN = json.loads(
-    pathlib.Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")
-)
+GOLDEN = recorded("golden_cli.json")
 
 
 def test_inputs_and_cases_match_script():
-    assert GOLDEN["inputs"] == build_inputs()
-    assert [case["argv"] for case in GOLDEN["cases"]] == CASES
+    assert GOLDEN["inputs"] == cli_inputs()
+    assert [case["argv"] for case in GOLDEN["cases"]] == CLI_CASES
 
 
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"][:2]))

@@ -1,34 +1,22 @@
-"""Exact-path outputs against values recorded by make_exact_golden.py.
+"""Exact-path outputs against the values recorded in golden_exact.json.
 
+Each recorded pair is replayed through the output functions of goldens.py.
 Transition matrices, stationary vectors, cofactor rows, expected scores,
 determinant ratios and Press-Dyson determinants must match within 1e-12
 relative to the largest recorded entry (or to a floor of 1 for chain
 quantities and of the payoff magnitude for score quantities, so values that
 vanish to round-off compare absolutely).  The feasibility verdict and every
 NonUniqueStationary / DegenerateDenominator outcome must match exactly.
-Rerun the script only when an output is meant to change.
 """
-
-import json
-import pathlib
 
 import numpy as np
 import pytest
 
-from zdgames import (
-    expected_scores,
-    press_dyson_determinant,
-    score_combination,
-    stationary,
-    transition_matrix,
-    zd_feasibility_condition,
+from goldens import (
+    chain_outputs, coefficients, final_column, recorded, scaled_game, score_outputs,
 )
 
-from make_exact_golden import attempt, coefficients, final_column, scaled_game, strategies
-
-GOLDEN = json.loads(
-    pathlib.Path(__file__).with_name("golden_exact.json").read_text(encoding="utf-8")
-)
+GOLDEN = recorded("golden_exact.json")
 RTOL = 1e-12
 
 
@@ -48,29 +36,19 @@ def record_id(record):
 
 @pytest.mark.parametrize("record", GOLDEN, ids=record_id)
 def test_chain_matches_golden(record):
-    p, q = strategies(record)
-    P = transition_matrix(p, q)
-    assert_close(P.entries, record["P"], 1.0)
-    stat = attempt(stationary, P)
-    assert_close(stat if isinstance(stat, str) else stat.v, record["v"], 1.0)
-    feas = zd_feasibility_condition(P)
-    assert feas.holds == record["holds"]
-    assert_close(feas.cofactors.c, record["c"], 1.0)
+    got = chain_outputs(record)
+    for key in ("P", "v", "c"):
+        assert_close(got[key], record[key], 1.0)
+    assert got["holds"] == record["holds"]
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=record_id)
 def test_scores_match_golden(record):
-    p, q = strategies(record)
     for want in record["scaled"]:
+        got = score_outputs(record, want["scale"])
         game = scaled_game(record, want["scale"])
-        coeffs = coefficients(record, want["scale"])
-        f = final_column(game, coeffs)
+        f = final_column(game, coefficients(record, want["scale"]))
         payoff = np.abs(np.concatenate([game.A.ravel(), game.B.ravel()])).max()
-
-        scores = attempt(expected_scores, game, p, q)
-        if not isinstance(scores, str):
-            scores = [scores.pi_alpha, scores.pi_beta]
-        assert_close(scores, want["scores"], payoff)
-        assert_close(attempt(score_combination, game, p, q, coeffs),
-                     want["combination"], np.abs(f).max())
-        assert_close(press_dyson_determinant(p, q, f), want["determinant"], np.abs(f).max())
+        assert_close(got["scores"], want["scores"], payoff)
+        assert_close(got["combination"], want["combination"], np.abs(f).max())
+        assert_close(got["determinant"], want["determinant"], np.abs(f).max())

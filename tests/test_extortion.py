@@ -132,6 +132,14 @@ class TestExtortionStrategy:
         assert result.feasible
         assert np.array_equal(result.p1, [0.9, 0.75, 0.05, 0.0])
 
+    def test_press_dyson_extort_3(self):
+        # Extort-3 of Press & Dyson (2012) on the prisoner's dilemma
+        # (T, R, P, S) = (5, 3, 1, 0)
+        pd = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
+        result = extortion_strategy(pd, ExtortionParams(3.0, 1 / 26))
+        assert result.feasible
+        assert np.allclose(result.p1, [11 / 13, 1 / 2, 7 / 26, 0.0], rtol=0, atol=1e-15)
+
     def test_fair_factor(self, rng):
         game, _, _ = extortable_symmetric_3x3(rng)
         result = extortion_strategy(game, ExtortionParams(1.0, 0.01))
@@ -169,6 +177,10 @@ class TestExtortionStrategy:
 class TestThetaMax:
     def test_chicken_closed_form(self):
         assert theta_max(chicken_family(0.5), 2.0) == 0.4
+
+    def test_press_dyson_prisoners_dilemma(self):
+        # Extort-3's scale 1/26 is half the ceiling at factor 3
+        assert theta_max(make_symmetric([[3.0, 0.0], [5.0, 1.0]]), 3.0) == 1 / 13
 
     def test_feasibility_flips_at_limit(self):
         game = chicken_family(0.5)

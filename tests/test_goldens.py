@@ -1,0 +1,64 @@
+"""The tolerance-0 comparer of goldens.py, on copies of the recorded files.
+
+The check itself regenerates every golden and is run by hand (see
+goldens.py); these tests only make sure that it reports what changed.
+"""
+
+import copy
+import math
+
+import numpy as np
+
+import goldens
+
+NAME = "golden_exact.json"
+TEXT = (goldens.HERE / NAME).read_text(encoding="utf-8")
+EXACT = goldens.recorded(NAME)
+
+
+def changed(fields):
+    return {field: counts for field, counts in fields.items() if counts[0]}
+
+
+def test_registry_owns_every_golden_file():
+    assert set(goldens.GOLDENS) == {path.name for path in goldens.HERE.glob("golden_*.json")}
+
+
+def test_unchanged_copy_compares_clean(capsys):
+    fields = goldens.drift(EXACT, copy.deepcopy(EXACT))
+    assert changed(fields) == {}
+    assert fields["scaled.combination"] == [0, 180, 0.0]
+    assert goldens.render(EXACT) == TEXT
+    assert goldens.compare(NAME, TEXT, goldens.render(copy.deepcopy(EXACT)))
+    assert capsys.readouterr().out.endswith(f"{NAME}: identical\n")
+
+
+def test_one_ulp_is_one_changed_value(capsys):
+    fresh = copy.deepcopy(EXACT)
+    want = fresh[0]["scaled"][0]["determinant"]
+    fresh[0]["scaled"][0]["determinant"] = float(np.nextafter(want, math.inf))
+    rel = (fresh[0]["scaled"][0]["determinant"] - want) / abs(want)
+    assert 1e-16 < rel <= 2.0**-52
+    assert changed(goldens.drift(EXACT, fresh)) == {"scaled.determinant": [1, 180, rel]}
+    assert not goldens.compare(NAME, TEXT, goldens.render(fresh))
+    out = capsys.readouterr().out
+    assert f"{NAME} scaled.determinant 1/180 {rel:.2g}\n" in out
+    assert out.endswith(f"{NAME}: DIFFERS\n")
+
+
+def test_verdict_and_length_changes_are_reported():
+    fresh = copy.deepcopy(EXACT)
+    verdict = next(r for r in fresh if isinstance(r["v"], str))
+    verdict["v"] = "InaccurateStationary"
+    fresh[0]["holds"] = not fresh[0]["holds"]
+    fresh[1]["c"].pop()
+    assert changed(goldens.drift(EXACT, fresh)) == {
+        "v": [1, 505, math.inf],
+        "holds": [1, 60, math.inf],
+        "c": [len(EXACT[1]["c"]), 516, math.inf],
+    }
+
+
+def test_layout_change_alone_fails(capsys):
+    assert not goldens.compare(NAME, TEXT, TEXT.replace("},\n{", "}, {"))
+    assert f"{NAME}: same values, different layout" in capsys.readouterr().out

@@ -1,24 +1,18 @@
-"""Seeded ``play`` against state counts recorded by make_play_golden.py.
+"""Seeded ``play`` against the state counts recorded in golden_play.json.
 
 Every run must reproduce its recorded integer tallies exactly, also when
 the uniforms are drawn in blocks of 7 rows, which puts block boundaries
-inside and at the end of runs.  Rerun the script only when the simulated
-stream is meant to change.
+inside and at the end of runs.
 """
-
-import json
-import pathlib
 
 import numpy as np
 import pytest
 
-from zdgames import play, simulate
+from zdgames import simulate
 
-from make_play_golden import config, counts, instance
+from goldens import play_outputs, play_run, recorded
 
-GOLDEN = json.loads(
-    pathlib.Path(__file__).with_name("golden_play.json").read_text(encoding="utf-8")
-)
+GOLDEN = recorded("golden_play.json")
 RECORDS = GOLDEN["records"]
 
 
@@ -28,10 +22,8 @@ def case_id(record):
 
 
 def check(record):
-    game, p, q = instance(GOLDEN["seed"], *record["shape"])
-    report = play(game, p, q, config(record))
-    assert report.rounds_counted == record["rounds_counted"]
-    assert counts(report) == record["counts"]
+    report = play_run(GOLDEN["seed"], record)
+    assert {**record, **play_outputs(report)} == record
     expected = np.array(record["counts"], dtype=float) / record["rounds_counted"]
     assert np.array_equal(report.state_frequencies, expected)
 
@@ -39,7 +31,6 @@ def check(record):
 @pytest.mark.parametrize("record", RECORDS, ids=case_id)
 def test_counts(record):
     check(record)
-
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=case_id)

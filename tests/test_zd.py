@@ -275,6 +275,20 @@ class TestPinning:
         assert (coeffs.a, coeffs.b, coeffs.c) == (0.0, -0.25, 0.5)
         assert np.allclose(result.p1, [0.75, 0.25, 0.5, 0.25], rtol=0, atol=1e-15)
 
+    def test_pd_equalizer_family(self, rng):
+        # Press & Dyson (2012) pin beta's score on the prisoner's dilemma with
+        # equalizers; the pins at 2 are delta + w * (omega_beta - 2), w < 0
+        _, omega_beta = payoff_vectors(PD)
+        delta = own_move_one_indicator("alpha", 2, 2)
+        result, _ = pin_opponent_score(PD, "alpha", 2.0)
+        assert np.allclose(result.p1, delta - (omega_beta - 2.0) / 4, rtol=0, atol=1e-15)
+        p1 = delta - (omega_beta - 2.0) / 3
+        assert np.allclose(p1, [2 / 3, 0.0, 2 / 3, 1 / 3], rtol=0, atol=1e-15)
+        p = complete_from_first_component("alpha", p1, 2, 2)
+        for _ in range(10):
+            q = rand_strategy(rng, "beta", 2, 2)
+            assert verify_linear_relation(PD, p, q, ZDCoefficients(0.0, 1.0, -2.0)).holds
+
     def test_unreachable_target(self):
         with pytest.raises(NoFeasiblePin):
             pin_opponent_score(PD, "alpha", 10.0)
