@@ -25,19 +25,19 @@ from .model import PROB_TOL, _frozen, payoff_vectors
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
 CORANK_RTOL = 1e-10
-_MEMO_SIZE = 4  # recent strategy pairs whose chains transition_matrix keeps
+_MEMO_SIZE = 1  # strategy pairs whose chains transition_matrix keeps
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
-    Immutable: P - I, its one SVD, its corank, which decides every
-    degenerate-chain verdict, and the stationary vector are computed once,
-    on first use, and kept on the instance.  Direct construction validates
-    ``entries`` and keeps a read-only copy; the chain of a strategy pair
-    (:func:`transition_matrix`) holds the joint product itself, which its
-    checked strategies already make stochastic.
+    Immutable: construction computes P - I, its one SVD and its corank,
+    which decides every degenerate-chain verdict; the stationary vector is
+    computed on first use.  All are kept on the instance.  Direct
+    construction validates ``entries`` and keeps a read-only copy; the
+    chain of a strategy pair (:func:`transition_matrix`) holds the joint
+    product itself, which its checked strategies already make stochastic.
     """
 
     dims: tuple
@@ -55,29 +55,37 @@ class TransitionMatrix:
             raise ValueError("transition rows must sum to 1")
         if lo < 0.0 or hi > 1.0:
             np.clip(entries, 0.0, 1.0, out=entries)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @cached_property
-    def _shifted(self):
-        """P - I, read-only: copy it before writing."""
-        return _frozen(_minus_identity(self.entries.copy()))
-
-    @cached_property
-    def _svd(self):
-        """(u, sv, vt) of P - I, read-only: the chain's one factorization by SVD."""
-        return tuple(map(_frozen, np.linalg.svd(self._shifted)))
-
-    @cached_property
-    def _corank(self):
-        """How many singular values of P - I vanish."""
-        sv = self._svd[1]
-        # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
-        return int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
+        _factor(self, entries)
 
     @cached_property
     def _stationary(self):
-        return _solve_stationary(self)
+        # lazy, unlike the factorization: it can raise, and a raised error is not kept
+        if self._corank > 1:
+            raise NonUniqueStationary(self._corank)
+
+        A = self._shifted.T.copy()
+        A[-1, :] = 1.0
+        try:
+            v = _accepted(np.linalg.solve(A, _unit_last(len(A))), self)
+        except (np.linalg.LinAlgError, InaccurateStationary):
+            v = _accepted(_null_left(self), self)
+        return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
+
+
+def _factor(P, entries):
+    """Set the chain ``P``'s ``entries`` (kept, not copied), P - I, its SVD and its corank.
+
+    Each is read-only: copy it before writing.  ``_corank`` counts the
+    singular values of P - I that vanish.
+    """
+    shifted = entries.copy()  # C-ordered, so the strided view below is the diagonal
+    shifted.ravel()[:: len(shifted) + 1] -= 1.0
+    svd = tuple(map(_frozen, np.linalg.svd(shifted)))
+    # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
+    corank = int(np.count_nonzero(svd[1] <= CORANK_RTOL * max(svd[1][0], 1.0)))
+    for name, value in (("entries", _frozen(entries)), ("_shifted", _frozen(shifted)),
+                        ("_svd", svd), ("_corank", corank)):
+        object.__setattr__(P, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +131,9 @@ def _check_pair(p, q, game=None):
 def transition_matrix(p, q):
     """The joint chain of alpha strategy ``p`` against beta ``q``.
 
-    Strategies are immutable, so the chain of one pair is built once: the
-    last few pairs queried keep theirs, with its factorization, and every
-    exact function on such a pair shares it.
+    Strategies are immutable, so the chain of one pair is built and
+    factorized once: the last pair queried keeps its chain, and every exact
+    function on that pair shares it.
     """
     _check_pair(p, q)
     return _chain(p, q)
@@ -140,7 +148,7 @@ def _chain(p, q):
     """
     P = object.__new__(TransitionMatrix)
     object.__setattr__(P, "dims", (p.n, p.m))
-    object.__setattr__(P, "entries", _frozen(_joint(p, q)))
+    _factor(P, _joint(p, q))
     return P
 
 
@@ -148,12 +156,6 @@ def _joint(p, q):
     """Unvalidated nm x nm product ``p.rows[s, k] * q.rows[s, l]``; new and C-ordered."""
     joint = np.multiply(p.rows[:, :, None], q.rows[:, None, :], order="C")
     return joint.reshape(p.n * p.m, -1)
-
-
-def _minus_identity(P):
-    """P - I for the nm x nm array ``P``, in place on it: pass a new C-ordered array."""
-    P.ravel()[:: P.shape[0] + 1] -= 1.0  # a view of the diagonal: P is C-ordered
-    return P
 
 
 def _null_left(P):
@@ -190,19 +192,6 @@ def stationary(P):
         degenerate for double precision.
     """
     return P._stationary
-
-
-def _solve_stationary(P):
-    if P._corank > 1:
-        raise NonUniqueStationary(P._corank)
-
-    A = P._shifted.T.copy()
-    A[-1, :] = 1.0
-    try:
-        v = _accepted(np.linalg.solve(A, _unit_last(len(A))), P)
-    except (np.linalg.LinAlgError, InaccurateStationary):
-        v = _accepted(_null_left(P), P)
-    return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
 
 
 def _accepted(v, P):

@@ -40,10 +40,6 @@ def _check_moves(n, m):
         raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
 
 
-def _readonly(a):
-    return _frozen(np.array(a, dtype=float))
-
-
 def _frozen(a):
     """``a`` itself, made read-only: for an array or view the caller just made."""
     a.setflags(write=False)
@@ -108,8 +104,8 @@ class BimatrixGame:
 
 def make_game(A, B):
     """Validate payoff tables and build a :class:`BimatrixGame`."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = np.array(A, dtype=float)  # copies, kept read-only
+    B = np.array(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("payoff tables must be two-dimensional")
     n, m = A.shape
@@ -120,7 +116,7 @@ def make_game(A, B):
         )
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("payoff entries must be finite")
-    return BimatrixGame(n, m, _readonly(A), _readonly(B))
+    return BimatrixGame(n, m, _frozen(A), _frozen(B))
 
 
 def make_symmetric(A):
@@ -221,8 +217,8 @@ def make_strategy(player, rows, order="native"):
     if player == "beta" and order == "native":
         # (beta_j, alpha_i)-major -> alpha-major is the block transpose
         rows = rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n_rows, k)
-    rows = np.clip(rows, 0.0, 1.0)
-    return MemoryOneStrategy(player, n, m, _readonly(rows))
+    np.clip(rows, 0.0, 1.0, out=rows)  # rows is a copy of the input
+    return MemoryOneStrategy(player, n, m, _frozen(rows))
 
 
 def own_move_one_indicator(player, n, m):

@@ -9,6 +9,7 @@ draw first), after a single draw for a random initial state if requested.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .chain import _check_pair, _scores, stationary, transition_matrix
 from .errors import DegenerateRatio
-from .model import StateIndex, _readonly
+from .model import StateIndex, _frozen
 
 RATIO_TOL = 1e-9
 # rounds drawn per rng.random call: memory stays bounded for long runs, and
@@ -31,7 +32,9 @@ class SimulationConfig:
     ``initial_state`` is a :class:`StateIndex` or the string
     "uniform-random".  ``burn_in`` rounds are discarded from the front;
     None selects the default 1% of rounds, at least 100, capped at
-    rounds - 1 so at least one round is always counted.
+    rounds - 1 so at least one round is always counted.  ``rounds``,
+    ``seed`` and ``burn_in`` are integers: ValueError for any value that
+    ``operator.index`` rejects, such as 1e3, 0.5 or NaN.
     """
 
     rounds: int
@@ -40,6 +43,14 @@ class SimulationConfig:
     burn_in: int | None = None
 
     def __post_init__(self):
+        for name in ("rounds", "seed", "burn_in"):
+            value = getattr(self, name)
+            if value is None and name == "burn_in":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.rounds:
@@ -133,7 +144,7 @@ def play(game, p, q, config):
     counted = config.rounds - burn_in
     freq = np.asarray(counts, dtype=float) / counted
     scores = _scores(game, freq)
-    return SimulationReport(scores.pi_alpha, scores.pi_beta, _readonly(freq), counted)
+    return SimulationReport(scores.pi_alpha, scores.pi_beta, _frozen(freq), counted)
 
 
 def _ratio(report, delta, where=""):

@@ -32,7 +32,7 @@ from .model import (
     PROB_TOL,
     StateIndex,
     _completed,
-    _readonly,
+    _frozen,
     own_move_one_indicator,
     payoff_vectors,
 )
@@ -103,8 +103,9 @@ def _synthesis(player, game, g, t=1.0):
         for s in np.flatnonzero(outside).tolist()
     )
     feasible = not violations
-    p1 = np.clip(raw, 0.0, 1.0) if feasible else raw
-    return SynthesisResult(player, n, m, _readonly(p1), feasible, violations)
+    if feasible:
+        np.clip(raw, 0.0, 1.0, out=raw)
+    return SynthesisResult(player, n, m, _frozen(raw), feasible, violations)
 
 
 def _feasible_scale(delta, g):

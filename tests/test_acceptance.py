@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from zdgames import (
     FILL_RULES,
@@ -184,6 +185,7 @@ def test_criterion_5_closed_form_equals_general_constructions():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_extortion_exact_and_monte_carlo():
     rng = np.random.default_rng(606)
     game = chicken_family(0.5)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -527,6 +529,14 @@ class TestChainMemo:
                 assert expected_scores(game, p, q) == chain_module._scores(game, v)
                 assert score_combination(game, p, q, coeffs) == self.fresh_ratio(game, fresh, coeffs)
         assert transition_matrix(p, q1) is transition_matrix(p, q1)
+
+    def test_only_the_last_pair_keeps_its_chain(self, rng):
+        n, m = 3, 2
+        p = rand_strategy(rng, "alpha", n, m)
+        q1, q2 = rand_strategy(rng, "beta", n, m), rand_strategy(rng, "beta", n, m)
+        kept = weakref.ref(transition_matrix(p, q1))
+        transition_matrix(p, q2)
+        assert kept() is None
 
     def test_errors_are_raised_again(self):
         game = make_symmetric([[3.0, 0.0], [5.0, 1.0]])

@@ -33,13 +33,19 @@ def uniform(player, n, m):
 
 
 class TestConfig:
-    def test_zero_rounds_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(rounds=0), dict(rounds=1e3), dict(rounds=float("nan")), dict(rounds=10, seed=1.0)],
+        ids=["rounds=0", "rounds=1e3", "rounds=nan", "seed=1.0"],
+    )
+    def test_zero_rounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SimulationConfig(rounds=0)
+            SimulationConfig(**kwargs)
 
-    def test_burn_in_must_leave_rounds(self):
+    @pytest.mark.parametrize("burn_in", [10, 0.5, 5.0])
+    def test_burn_in_must_leave_rounds(self, burn_in):
         with pytest.raises(ValueError):
-            SimulationConfig(rounds=10, burn_in=10)
+            SimulationConfig(rounds=10, burn_in=burn_in)
 
     def test_default_burn_in(self):
         assert SimulationConfig(rounds=50).resolved_burn_in == 49
