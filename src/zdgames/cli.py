@@ -400,7 +400,7 @@ def _build_parser():
     pin.add_argument("--target", type=float, required=True)
     pin.add_argument("--player", choices=["alpha", "beta"], default="alpha")
     pin.add_argument("--opponents", type=_positive_int, default=100)
-    pin.add_argument("--seed", type=int, default=42)
+    pin.add_argument("--seed", type=_nonnegative_int, default=42)
     pin.add_argument("--out", help="write the strategy document here")
     pin.add_argument("--report", help="write per-opponent verification rows here")
     pin.set_defaults(run=cmd_pin)
@@ -410,7 +410,7 @@ def _build_parser():
     simulate.add_argument("p", help="alpha strategy file")
     simulate.add_argument("q", help="beta strategy file")
     simulate.add_argument("--rounds", type=_positive_int, required=True)
-    simulate.add_argument("--seed", type=int, default=42)
+    simulate.add_argument("--seed", type=_nonnegative_int, default=42)
     simulate.add_argument("--burn-in", dest="burn_in", type=_nonnegative_int, default=None)
     simulate.add_argument("--lambda", dest="lam", type=float, default=None)
     simulate.add_argument("--delta", type=float, default=0.0)
@@ -422,7 +422,7 @@ def _build_parser():
     scan.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, required=True)
     scan.add_argument("--theta-grid", dest="theta_grid", type=_float_list, default=None)
     scan.add_argument("--out", required=True)
-    scan.add_argument("--seed", type=int, default=42)
+    scan.add_argument("--seed", type=_nonnegative_int, default=42)
     scan.add_argument("--opponents", type=_positive_int, default=20)
     scan.set_defaults(run=cmd_scan)
 

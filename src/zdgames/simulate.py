@@ -20,9 +20,9 @@ from .errors import DegenerateRatio
 from .model import StateIndex, _frozen
 
 RATIO_TOL = 1e-9
-# rounds drawn per rng.random call: memory stays bounded for long runs, and
-# PCG64 yields the same uniforms however the draws are split
-_DRAW_BLOCK = 65_536
+# rounds per rng.random call (PCG64 yields the same uniforms however the draws are
+# split); turning a block into Python floats takes ~40 bytes per draw, ~160 KB here
+_DRAW_BLOCK = 2_048
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class SimulationConfig:
     "uniform-random".  ``burn_in`` rounds are discarded from the front;
     None selects the default 1% of rounds, at least 100, capped at
     rounds - 1 so at least one round is always counted.  ``rounds``,
-    ``seed`` and ``burn_in`` are integers: ValueError for any value that
-    ``operator.index`` rejects, such as 1e3, 0.5 or NaN.
+    ``seed`` (non-negative) and ``burn_in`` are integers: ValueError for
+    any value that ``operator.index`` rejects, such as 1e3, 0.5 or NaN.
     """
 
     rounds: int
@@ -53,6 +53,8 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.rounds:
             raise ValueError(
                 f"burn_in must lie in [0, rounds), got {self.burn_in} "
@@ -123,21 +125,18 @@ def play(game, p, q, config):
     rng = np.random.default_rng(config.seed)
     state = _initial_flat(config, n, m, rng)
 
-    # cumulative rows as plain lists: bisect beats vectorized sampling for
-    # a chain that must be stepped sequentially anyway
-    cum_p = [row.cumsum().tolist() for row in p.rows]
-    cum_q = [row.cumsum().tolist() for row in q.rows]
+    # each row's first K - 1 cumulative sums: bisect_right is the move, K - 1 past the last
+    cum_p = [row.cumsum()[:-1].tolist() for row in p.rows]
+    cum_q = [row.cumsum()[:-1].tolist() for row in q.rows]
 
     counts = [0] * (n * m)
     if burn_in == 0:
         counts[state] += 1
     for first in range(0, config.rounds - 1, _DRAW_BLOCK):
-        draws = rng.random((min(_DRAW_BLOCK, config.rounds - 1 - first), 2))
-        # draw row k of this block plays round first + k + 2
-        for t, (u_alpha, u_beta) in enumerate(draws, first + 2):
-            move_a = min(bisect_right(cum_p[state], u_alpha), n - 1)
-            move_b = min(bisect_right(cum_q[state], u_beta), m - 1)
-            state = move_a * m + move_b
+        draws = iter(rng.random(2 * min(_DRAW_BLOCK, config.rounds - 1 - first)).tolist())
+        # pair k of this block plays round first + k + 2
+        for t, (u_alpha, u_beta) in enumerate(zip(draws, draws), first + 2):
+            state = bisect_right(cum_p[state], u_alpha) * m + bisect_right(cum_q[state], u_beta)
             if t > burn_in:
                 counts[state] += 1
 

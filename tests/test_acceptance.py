@@ -185,7 +185,6 @@ def test_criterion_5_closed_form_equals_general_constructions():
     )
 
 
-@pytest.mark.slow
 def test_criterion_6_extortion_exact_and_monte_carlo():
     rng = np.random.default_rng(606)
     game = chicken_family(0.5)

@@ -332,13 +332,16 @@ class TestSimulate:
             main(["simulate", chicken_path, p_path, q_path, "--rounds", "0"])
         assert exc.value.code == 3
 
-    def test_negative_burn_in_usage_error(self, tmp_path, chicken_path, capsys):
+    @pytest.mark.parametrize("option", ["--burn-in", "--seed"], ids=["burn-in", "seed"])
+    def test_negative_burn_in_usage_error(self, tmp_path, chicken_path, capsys, option):
         p_path, q_path = uniform_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["simulate", chicken_path, p_path, q_path, "--rounds", "100",
-                  "--burn-in", "-1"])
+                  option, "-1"])
         assert exc.value.code == 3
-        assert "expected a nonnegative count, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected a nonnegative count, got -1" in err
+        assert f"argument {option}:" in err
 
 
 class TestScan:
@@ -416,3 +419,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize("command, flags", [("pin", ["--target", "1.0"]),
+                                                 ("scan", ["--lambda-grid", "2"])],
+                             ids=["pin", "scan"])
+    def test_negative_seed_usage_error(self, chicken_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, chicken_path, *flags, "--seed", "-1"])
+        assert exc.value.code == 3
+        assert "argument --seed: expected a nonnegative count, got -1" in capsys.readouterr().err

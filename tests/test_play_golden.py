@@ -1,8 +1,8 @@
 """Seeded ``play`` against the state counts recorded in golden_play.json.
 
 Every run must reproduce its recorded integer tallies exactly, also when
-the uniforms are drawn in blocks of 7 rows, which puts block boundaries
-inside and at the end of runs.
+the uniforms are drawn in blocks of 7 rounds, which puts block boundaries
+inside and at the end of runs, and of a single round.
 """
 
 import numpy as np
@@ -33,7 +33,11 @@ def test_counts(record):
     check(record)
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=case_id)
-def test_counts_in_small_blocks(record, monkeypatch):
-    monkeypatch.setattr(simulate, "_DRAW_BLOCK", 7)
+@pytest.mark.parametrize(
+    "record, block",
+    [pytest.param(record, block, id=case_id(record) + suffix)
+     for block, suffix in [(7, ""), (1, "-block1")] for record in RECORDS],
+)
+def test_counts_in_small_blocks(record, block, monkeypatch):
+    monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
     check(record)

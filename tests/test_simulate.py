@@ -35,8 +35,9 @@ def uniform(player, n, m):
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(rounds=0), dict(rounds=1e3), dict(rounds=float("nan")), dict(rounds=10, seed=1.0)],
-        ids=["rounds=0", "rounds=1e3", "rounds=nan", "seed=1.0"],
+        [dict(rounds=0), dict(rounds=1e3), dict(rounds=float("nan")), dict(rounds=10, seed=1.0),
+         dict(rounds=10, seed=-1)],
+        ids=["rounds=0", "rounds=1e3", "rounds=nan", "seed=1.0", "seed=-1"],
     )
     def test_zero_rounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -72,6 +73,21 @@ class TestPlay:
         assert np.array_equal(report.state_frequencies, [1.0, 0.0, 0.0, 0.0])
         assert report.empirical_pi_alpha == 1.0
         assert report.empirical_pi_beta == 1.0
+
+    def test_draw_past_last_cumulative_sum_plays_last_move(self, monkeypatch):
+        # rows summing to 1 - 1e-13 (within PROB_TOL) and every draw above that sum
+        class Draws:
+            def random(self, size):
+                return np.full(size, 1 - 2**-53)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        rows = np.tile([0.5, 0.5 - 1e-13], (4, 1))
+        p = make_strategy("alpha", rows, order="alpha-major")
+        q = make_strategy("beta", rows, order="alpha-major")
+        config = SimulationConfig(rounds=50, initial_state=StateIndex.from_pair(1, 1, 2, 2),
+                                  burn_in=0)
+        report = play(chicken_family(0.5), p, q, config)
+        assert np.array_equal(report.state_frequencies, [0.02, 0.0, 0.0, 0.98])
 
     def test_uniform_play_score(self):
         game = chicken_family(0.5)
