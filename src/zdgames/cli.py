@@ -89,18 +89,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
-    return value
+def _int_at_least(low, noun):
+    """argparse type: an integer of at least ``low``; ``noun`` names it in errors."""
 
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text}")
+        return value
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative count, got {value}")
-    return value
+    return parse
 
 
 def _float_list(text):
@@ -132,7 +133,8 @@ def _load_expected(path, expected_player, game):
     return strategy
 
 
-def _random_opponents(player, n, m, count, seed):
+def _random_opponents(player, game, count, seed):
+    n, m = game.n, game.m
     rng = np.random.default_rng(seed)
     k = n if player == "alpha" else m
     return [
@@ -217,9 +219,8 @@ def cmd_extort(args):
 
     if args.bounds:
         bounds = extortion_factor_bounds(game)
-        top = "inf" if math.isinf(bounds.lambda_max) else repr(bounds.lambda_max)
-        close = ")" if math.isinf(bounds.lambda_max) else "]"
-        print(f"admissible factors: [{bounds.lambda_min!r}, {top}{close}")
+        top = "inf)" if math.isinf(bounds.lambda_max) else f"{bounds.lambda_max!r}]"
+        print(f"admissible factors: [{bounds.lambda_min!r}, {top}")
         print(f"feasible: {bounds.feasible}")
         return EXIT_OK
 
@@ -257,19 +258,13 @@ def cmd_pin(args):
     result, coeffs = pin_opponent_score(game, args.player, args.target)
     strategy = result.complete("uniform")
 
-    opponent_player = "beta" if args.player == "alpha" else "alpha"
-    opponents = _random_opponents(
-        opponent_player, game.n, game.m, args.opponents, args.seed
-    )
+    alpha = args.player == "alpha"
+    opponents = _random_opponents("beta" if alpha else "alpha", game, args.opponents, args.seed)
     pinned = []
     rows = []
     for idx, opponent in enumerate(opponents):
-        if args.player == "alpha":
-            scores = expected_scores(game, strategy, opponent)
-            value = scores.pi_beta
-        else:
-            scores = expected_scores(game, opponent, strategy)
-            value = scores.pi_alpha
+        scores = expected_scores(game, *((strategy, opponent) if alpha else (opponent, strategy)))
+        value = scores.pi_beta if alpha else scores.pi_alpha
         pinned.append(value)
         rows.append([idx, scores.pi_alpha, scores.pi_beta, abs(value - args.target)])
 
@@ -304,10 +299,9 @@ def cmd_simulate(args):
     try:
         tv = _tv_distance(report, stationary(transition_matrix(p, q)).v)
         print(f"tv distance to exact stationary: {tv!r}")
-    except NonUniqueStationary:
-        print("exact stationary unavailable (non-unique); skipping comparison")
-    except InaccurateStationary:
-        print("exact stationary unavailable (inaccurate); skipping comparison")
+    except (NonUniqueStationary, InaccurateStationary) as exc:
+        kind = "non-unique" if isinstance(exc, NonUniqueStationary) else "inaccurate"
+        print(f"exact stationary unavailable ({kind}); skipping comparison")
 
     if args.lam is not None:
         lambda_hat = _ratio(report, args.delta)
@@ -334,7 +328,7 @@ def cmd_scan(args):
     if args.theta_grid is not None and not all(0.0 < t < math.inf for t in args.theta_grid):
         raise _UsageError("theta grid values must be positive and finite")
 
-    opponents = _random_opponents("beta", game.n, game.m, args.opponents, args.seed)
+    opponents = _random_opponents("beta", game, args.opponents, args.seed)
     nn = float(game.A[-1, -1])
 
     rows = []
@@ -366,6 +360,8 @@ def cmd_scan(args):
 
 def _build_parser():
     parser = _Parser(prog="zdgames", description=__doc__.splitlines()[0])
+    count = _int_at_least(1, "a positive count")
+    seed = _int_at_least(0, "a non-negative seed")
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser("analyze", help="chain diagnostics for a strategy pair")
@@ -399,8 +395,8 @@ def _build_parser():
     pin.add_argument("game")
     pin.add_argument("--target", type=float, required=True)
     pin.add_argument("--player", choices=["alpha", "beta"], default="alpha")
-    pin.add_argument("--opponents", type=_positive_int, default=100)
-    pin.add_argument("--seed", type=_nonnegative_int, default=42)
+    pin.add_argument("--opponents", type=count, default=100)
+    pin.add_argument("--seed", type=seed, default=42)
     pin.add_argument("--out", help="write the strategy document here")
     pin.add_argument("--report", help="write per-opponent verification rows here")
     pin.set_defaults(run=cmd_pin)
@@ -409,9 +405,10 @@ def _build_parser():
     simulate.add_argument("game")
     simulate.add_argument("p", help="alpha strategy file")
     simulate.add_argument("q", help="beta strategy file")
-    simulate.add_argument("--rounds", type=_positive_int, required=True)
-    simulate.add_argument("--seed", type=_nonnegative_int, default=42)
-    simulate.add_argument("--burn-in", dest="burn_in", type=_nonnegative_int, default=None)
+    simulate.add_argument("--rounds", type=count, required=True)
+    simulate.add_argument("--seed", type=seed, default=42)
+    simulate.add_argument("--burn-in", dest="burn_in",
+                          type=_int_at_least(0, "a non-negative count"), default=None)
     simulate.add_argument("--lambda", dest="lam", type=float, default=None)
     simulate.add_argument("--delta", type=float, default=0.0)
     simulate.add_argument("--csv", help="write the report row to this CSV file")
@@ -422,8 +419,8 @@ def _build_parser():
     scan.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, required=True)
     scan.add_argument("--theta-grid", dest="theta_grid", type=_float_list, default=None)
     scan.add_argument("--out", required=True)
-    scan.add_argument("--seed", type=_nonnegative_int, default=42)
-    scan.add_argument("--opponents", type=_positive_int, default=20)
+    scan.add_argument("--seed", type=seed, default=42)
+    scan.add_argument("--opponents", type=count, default=20)
     scan.set_defaults(run=cmd_scan)
 
     return parser

@@ -78,6 +78,12 @@ def _load_json(path):
     return obj
 
 
+def _save_json(doc, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+        handle.write("\n")
+
+
 def game_from_document(obj, source="<game>"):
     n = _int_field(obj, "n", source)
     m = _int_field(obj, "m", source)
@@ -110,9 +116,7 @@ def load_game(path):
 
 
 def save_game(game, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(game_to_document(game), handle)
-        handle.write("\n")
+    _save_json(game_to_document(game), path)
 
 
 def strategy_from_document(obj, source="<strategy>"):
@@ -147,6 +151,4 @@ def load_strategy(path):
 
 
 def save_strategy(strategy, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(strategy_to_document(strategy), handle)
-        handle.write("\n")
+    _save_json(strategy_to_document(strategy), path)

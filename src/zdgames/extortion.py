@@ -57,7 +57,8 @@ class FactorBounds:
 
     ``lambda_min`` is at least 1; ``lambda_max`` may be ``math.inf``.
     ``feasible`` is False when the interval is empty or some condition fails
-    for every lam.
+    for every lam.  The endpoints are exact only up to rounding; at a tie,
+    :func:`check_extortion_factor` gives the verdict.
     """
 
     lambda_min: float
@@ -121,6 +122,8 @@ def check_extortion_factor(game, lam):
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
     limit, blocking = _feasible_scale(*_extortion_direction(game, lam))
+    if lam < 1.0:  # E_11 = (1 - lam)(a_11 - a_nn) misses lam < 1 when a_11 == a_nn
+        limit, blocking = 0.0, sorted({0, *blocking})
     violated = []
     for s in blocking:
         i, j = divmod(s, game.n)
@@ -211,26 +214,3 @@ def chicken_extortion(r, lam, theta):
             0.0,
         ]
     )
-
-
-def n2_conditions(game, lam):
-    """Standalone two-strategy admissibility test.
-
-    True iff a_12 - a_22 - lam*(a_21 - a_22) <= 0 and
-    a_21 - a_22 - lam*(a_12 - a_22) >= 0, up to 1e-12 times the payoff
-    spread so the verdict does not depend on the payoff scale; agrees with
-    :func:`check_extortion_factor` on every symmetric 2x2 game, and raises
-    its ValueError on a factor so large that a bracket overflows.
-    """
-    _check_factor(lam)
-    A = _require_symmetric(game)
-    if game.n != 2:
-        raise ValueError(f"two-strategy test on an {game.n}x{game.n} game")
-    nn = A[1, 1]
-    with np.errstate(over="ignore"):
-        first = (A[0, 1] - nn) - lam * (A[1, 0] - nn)
-        last = (A[1, 0] - nn) - lam * (A[0, 1] - nn)
-    if not (np.isfinite(first) and np.isfinite(last)):
-        raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
-    tol = CONDITION_TOL * np.ptp(A)
-    return bool(first <= tol and last >= -tol)

@@ -101,10 +101,8 @@ class ExtortionEstimate:
 
 def _initial_flat(config, n, m, rng):
     start = config.initial_state
-    if isinstance(start, StateIndex):
-        if not (1 <= start.i <= n and 1 <= start.j <= m):
-            raise ValueError(f"initial state {start} outside the {n}x{m} game")
-        return (start.i - 1) * m + (start.j - 1)  # start.flat may index other dims
+    if isinstance(start, StateIndex):  # start.flat may index other dims
+        return StateIndex.from_pair(start.i, start.j, n, m).flat
     if isinstance(start, str) and start == "uniform-random":
         return int(rng.integers(n * m))
     raise ValueError(f"initial state {start!r} is neither a StateIndex nor 'uniform-random'")

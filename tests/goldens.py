@@ -331,6 +331,7 @@ CLI_CASES = [
     ["scan", "chicken.json", "--lambda-grid", "2,4", "--theta-grid", "0.1,0.4,0.5",
      "--opponents", "5", "--out", "scan2.csv"],
     ["scan", "chicken.json", "--lambda-grid", "0.5", "--out", "scan3.csv"],
+    ["simulate", "chicken.json", "p.json", "q.json", "--rounds", "1e6"],
 ]
 
 
@@ -416,7 +417,7 @@ def cli_golden():
 # golden_play.json: each record is one ``play`` run of a 2x2 or 3x4 game
 # with seeded Dirichlet strategies, a play seed, a round count, a burn-in
 # (None, 0 or rounds - 1) and an initial state ("uniform-random" or a fixed
-# (i, j)).  Two runs are longer than one block of 65,536 draws.
+# (i, j)).  Two runs span many blocks of simulate._DRAW_BLOCK (2,048) rounds.
 
 PLAY_SEED = 77
 PLAY_SHAPES = ((2, 2), (3, 4))

@@ -156,6 +156,20 @@ def adjugate_last_row_minors(M):
     return c
 
 
+def n2_admissible(game, lam):
+    """Closed-form admissibility of a finite factor on a symmetric 2x2 game.
+
+    Reference for ``check_extortion_factor`` at n = 2: True iff
+    a_12 - a_22 - lam*(a_21 - a_22) <= 0 and a_21 - a_22 - lam*(a_12 - a_22) >= 0,
+    up to 1e-12 times the payoff spread, so the verdict ignores the payoff scale.
+    """
+    A = game.A
+    first = (A[0, 1] - A[1, 1]) - lam * (A[1, 0] - A[1, 1])
+    last = (A[1, 0] - A[1, 1]) - lam * (A[0, 1] - A[1, 1])
+    tol = 1e-12 * np.ptp(A)
+    return bool(first <= tol and last >= -tol)
+
+
 def rand_game(rng, n, m, low=-1.0, high=4.0):
     A = rng.uniform(low, high, size=(n, m))
     B = rng.uniform(low, high, size=(m, n))

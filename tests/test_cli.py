@@ -340,8 +340,8 @@ class TestSimulate:
                   option, "-1"])
         assert exc.value.code == 3
         err = capsys.readouterr().err
-        assert "expected a nonnegative count, got -1" in err
-        assert f"argument {option}:" in err
+        noun = "seed" if option == "--seed" else "count"
+        assert f"argument {option}: expected a non-negative {noun}, got -1" in err
 
 
 class TestScan:
@@ -427,4 +427,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([command, chicken_path, *flags, "--seed", "-1"])
         assert exc.value.code == 3
-        assert "argument --seed: expected a nonnegative count, got -1" in capsys.readouterr().err
+        assert "argument --seed: expected a non-negative seed, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--rounds", "1e6"], "--rounds: expected a positive count, got 1e6"),
+        (["pin", "--target", "1.0", "--opponents", "2.5"],
+         "--opponents: expected a positive count, got 2.5"),
+        (["simulate", "--rounds", "100", "--seed", "1.5"],
+         "--seed: expected a non-negative seed, got 1.5"),
+        (["simulate", "--rounds", "100", "--burn-in", "x"],
+         "--burn-in: expected a non-negative count, got x"),
+    ], ids=["rounds", "opponents", "seed", "burn-in"])
+    def test_non_integer_usage_error(self, tmp_path, chicken_path, capsys, argv, message):
+        # the message names the option and what it counts, not a parser function
+        command, *flags = argv
+        files = [chicken_path]
+        if command == "simulate":
+            files += uniform_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *flags])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert f"argument {message}" in err
+        assert "_int" not in err

@@ -16,12 +16,18 @@ from zdgames import (
     extortion_strategy,
     make_game,
     make_symmetric,
-    n2_conditions,
     synthesize_zd_alpha,
     theta_max,
 )
 
-from helpers import SCALES, SHIFTS, extortable_symmetric_3x3, payoff_grid, rand_strategy
+from helpers import (
+    SCALES,
+    SHIFTS,
+    extortable_symmetric_3x3,
+    n2_admissible,
+    payoff_grid,
+    rand_strategy,
+)
 
 PD = make_symmetric([[3.0, 0.0], [5.0, 1.0]])
 
@@ -65,6 +71,16 @@ class TestCheckFactor:
         A[0, 0], A[1, 1], A[2, 2], A[3, 3] = 4.0, 1.0, 2.0, 1.0
         report = check_extortion_factor(make_symmetric(A), 2.0)
         assert ("interior", 3, 3) in report.violated
+
+    def test_factor_below_one_violates_first_row(self):
+        # with a_11 == a_nn the bracket E_11 = (1 - lam)(a_11 - a_nn) vanishes,
+        # so lam < 1 is ruled out on its own, as the interval [1, ...] does
+        game = make_symmetric([[1.0, 0.0], [2.0, 1.0]])
+        report = check_extortion_factor(game, 1.0 - 1e-9)
+        assert (report.ok, report.violated, report.theta_max) == (
+            False, (("first-row", 1, 1),), 0.0)
+        assert check_extortion_factor(game, 1.0).ok
+        assert extortion_factor_bounds(game).lambda_min == 1.0
 
     def test_requires_symmetric(self, rng):
         game = make_game(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
@@ -238,6 +254,28 @@ def test_admissibility_ignores_payoff_scale_and_shift(problem, s, c):
         assert moved_limit == limit or abs(moved_limit - limit) <= 1e-9 * limit
 
 
+# relative band around each end of [lambda_min, lambda_max], fixed before any
+# run: the ends are ratios of rounded brackets, so at a tied bracket they are
+# off by rounding (A = [[0, 1], [1.5, 0]] scaled by 10**2.5 and shifted by 2
+# has lambda_max = 1.4999999999999998, yet the factor 1.5 is admissible)
+ENDPOINT_BAND = 1e-12
+
+
+@given(extortion_problems(), SCALES, SHIFTS)
+def test_interval_agrees_with_pointwise_check(problem, s, c):
+    A, lam = problem
+    game = make_symmetric(s * (A + c))
+    bounds = extortion_factor_bounds(game)
+    ends = [x for x in (bounds.lambda_min, bounds.lambda_max) if math.isfinite(x)]
+    for x in [lam] + [end * (1.0 + d) for end in ends for d in (-1e-9, 0.0, 1e-9)]:
+        ok = check_extortion_factor(game, x).ok
+        if any(abs(x - end) <= ENDPOINT_BAND * end for end in ends):
+            # inside the band the ends of a feasible interval are still admitted
+            assert ok or not bounds.feasible, x
+        else:
+            assert ok == (bounds.feasible and bounds.lambda_min <= x <= bounds.lambda_max), x
+
+
 @given(extortion_problems(), st.integers(-100, 100), st.integers(-20, 20),
        st.floats(0.01, 1.0))
 def test_bracket_route_is_exact_under_shift_and_power_of_two_scale(problem, c, k, share):
@@ -302,19 +340,19 @@ class TestChickenExtortion:
 
 
 class TestN2Conditions:
+    """``check_extortion_factor`` at n = 2 against the closed-form oracle."""
+
     def test_chicken_boundary(self):
-        assert n2_conditions(chicken_family(0.5), 3.0)
+        assert check_extortion_factor(chicken_family(0.5), 3.0).ok
+        assert n2_admissible(chicken_family(0.5), 3.0)
 
     def test_just_past_boundary(self):
-        assert not n2_conditions(chicken_family(0.5), 3.0 + 1e-6)
+        assert not check_extortion_factor(chicken_family(0.5), 3.0 + 1e-6).ok
+        assert not n2_admissible(chicken_family(0.5), 3.0 + 1e-6)
 
     def test_pd_factor_two(self):
-        assert n2_conditions(PD, 2.0)
-
-    def test_wrong_dimension(self, rng):
-        game = make_symmetric(rng.normal(size=(3, 3)))
-        with pytest.raises(ValueError, match="two-strategy"):
-            n2_conditions(game, 2.0)
+        assert check_extortion_factor(PD, 2.0).ok
+        assert n2_admissible(PD, 2.0)
 
     @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
     def test_agrees_with_general_conditions(self, rng, scale):
@@ -324,25 +362,24 @@ class TestN2Conditions:
             a22 = min(entries[0], entries[3])
             game = make_symmetric([[a11, entries[1]], [entries[2], a22]])
             lam = rng.uniform(1.0, 6.0)
-            assert n2_conditions(game, lam) == check_extortion_factor(game, lam).ok
+            assert check_extortion_factor(game, lam).ok == n2_admissible(game, lam)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_factor_rejected(self, lam):
-        # as check_extortion_factor does, rather than returning a verdict
+        # a ValueError rather than a verdict
         with pytest.raises(ValueError, match="extortion factor must be finite"):
-            n2_conditions(chicken_family(0.5), lam)
+            check_extortion_factor(chicken_family(0.5), lam)
 
     @pytest.mark.parametrize("game", [chicken_family(0.5), PD])
     def test_overflowing_factor_rejected(self, game):
-        # as check_extortion_factor does, rather than warning and returning a verdict
-        for check in (n2_conditions, check_extortion_factor):
-            with pytest.raises(ValueError, match=r"factor 1\.7e\+308 overflows"):
-                check(game, 1.7e308)
+        # a ValueError rather than a warning and a verdict
+        with pytest.raises(ValueError, match=r"factor 1\.7e\+308 overflows"):
+            check_extortion_factor(game, 1.7e308)
 
-        def verdict(check):
-            try:
-                return check(game, 1e308)
-            except ValueError as exc:
-                return str(exc)
-
-        assert verdict(n2_conditions) == verdict(lambda g, lam: check_extortion_factor(g, lam).ok)
+    def test_largest_factors_keep_the_verdict(self):
+        # at 1e308 chicken's brackets stay finite and give the oracle's
+        # verdict; PD's bracket 1 + 4e308 overflows and raises
+        assert check_extortion_factor(chicken_family(0.5), 1e308).ok is False
+        assert not n2_admissible(chicken_family(0.5), 1e308)
+        with pytest.raises(ValueError, match=r"factor 1e\+308 overflows"):
+            check_extortion_factor(PD, 1e308)

@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "make_game",
     "make_strategy",
     "make_symmetric",
-    "n2_conditions",
     "own_move_one_indicator",
     "payoff_vectors",
     "pin_opponent_score",
