@@ -30,6 +30,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -332,6 +333,13 @@ CLI_CASES = [
      "--opponents", "5", "--out", "scan2.csv"],
     ["scan", "chicken.json", "--lambda-grid", "0.5", "--out", "scan3.csv"],
     ["simulate", "chicken.json", "p.json", "q.json", "--rounds", "1e6"],
+    # each subcommand's usage line, and one help text
+    ["analyze", "chicken.json"],
+    ["zd", "chicken.json"],
+    ["extort"],
+    ["pin", "chicken.json"],
+    ["scan", "chicken.json"],
+    ["analyze", "-h"],
 ]
 
 
@@ -390,7 +398,9 @@ def run_case(argv, inputs, workdir):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps usage and help text to COLUMNS, else to the terminal
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             code = cli_main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
