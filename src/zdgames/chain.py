@@ -25,7 +25,6 @@ from .model import PROB_TOL, _frozen, payoff_vectors
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
 CORANK_RTOL = 1e-10
-_MEMO_SIZE = 1  # strategy pairs whose chains transition_matrix keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +64,10 @@ class TransitionMatrix:
 
         A = self._shifted.T.copy()
         A[-1, :] = 1.0
+        b = np.zeros(len(A))
+        b[-1] = 1.0
         try:
-            v = _accepted(np.linalg.solve(A, _unit_last(len(A))), self)
+            v = _accepted(np.linalg.solve(A, b), self)
         except (np.linalg.LinAlgError, InaccurateStationary):
             v = _accepted(_null_left(self), self)
         return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
@@ -139,7 +140,7 @@ def transition_matrix(p, q):
     return _chain(p, q)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=1)  # the last pair queried keeps its chain
 def _chain(p, q):
     """The chain of a checked pair; strategies hash and compare by identity.
 
@@ -162,12 +163,6 @@ def _null_left(P):
     # left null vector of P - I = its last left singular vector
     v = P._svd[0][:, -1]
     return -v if v.sum() < 0 else v
-
-
-@lru_cache(maxsize=None)
-def _unit_last(N):
-    """e_N, the read-only right-hand side of the stationary solve."""
-    return _frozen(np.eye(1, N, N - 1)[0])
 
 
 def stationary(P):

@@ -151,9 +151,11 @@ def _write_csv(path, header, rows, note=""):
     print(f"wrote {path}{note}")
 
 
-def _print_violations(result):
+def _infeasible(headline, result):
+    print(headline)
     for state, value in result.violations:
         print(f"  state ({state.i},{state.j}): {value!r} outside [0, 1]")
+    return EXIT_INFEASIBLE
 
 
 def _save(strategy, path):
@@ -162,8 +164,7 @@ def _save(strategy, path):
         print(f"wrote {path}")
 
 
-def cmd_analyze(args):
-    game = load_game(args.game)
+def cmd_analyze(game, args):
     p = _load_expected(args.p, "alpha", game)
     q = _load_expected(args.q, "beta", game)
     nm = game.n * game.m
@@ -196,8 +197,7 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def cmd_zd(args):
-    game = load_game(args.game)
+def cmd_zd(game, args):
     coeffs = ZDCoefficients(args.a, args.b, args.c)
     synthesize = synthesize_zd_alpha if args.player == "alpha" else synthesize_zd_beta
     result = synthesize(game, coeffs)
@@ -206,17 +206,13 @@ def cmd_zd(args):
     print(f"player: {args.player}")
     print(f"first components: {_fmt_vec(result.p1)}")
     if not result.feasible:
-        print(f"infeasible: {len(result.violations)} entries outside [0, 1]")
-        _print_violations(result)
-        return EXIT_INFEASIBLE
+        return _infeasible(f"infeasible: {len(result.violations)} entries outside [0, 1]", result)
     print("feasible")
     _save(result.complete(args.fill), args.out)
     return EXIT_OK
 
 
-def cmd_extort(args):
-    game = load_game(args.game)
-
+def cmd_extort(game, args):
     if args.bounds:
         bounds = extortion_factor_bounds(game)
         top = "inf)" if math.isinf(bounds.lambda_max) else f"{bounds.lambda_max!r}]"
@@ -241,9 +237,8 @@ def cmd_extort(args):
         raise _UsageError("--theta is required (or use --bounds / --theta-max)")
     result = extortion_strategy(game, ExtortionParams(args.lam, args.theta))
     if not result.feasible:
-        print(f"infeasible: theta {args.theta} exceeds theta_max {report.theta_max!r}")
-        _print_violations(result)
-        return EXIT_INFEASIBLE
+        headline = f"infeasible: theta {args.theta} exceeds theta_max {report.theta_max!r}"
+        return _infeasible(headline, result)
 
     nn = float(game.A[-1, -1])
     print(f"first components: {_fmt_vec(result.p1)}")
@@ -253,8 +248,7 @@ def cmd_extort(args):
     return EXIT_OK
 
 
-def cmd_pin(args):
-    game = load_game(args.game)
+def cmd_pin(game, args):
     result, coeffs = pin_opponent_score(game, args.player, args.target)
     strategy = result.complete("uniform")
 
@@ -280,10 +274,9 @@ def cmd_pin(args):
     return EXIT_OK
 
 
-def cmd_simulate(args):
+def cmd_simulate(game, args):
     if args.lam is not None:
         _check_factor(args.lam)
-    game = load_game(args.game)
     p = _load_expected(args.p, "alpha", game)
     q = _load_expected(args.q, "beta", game)
     config = SimulationConfig(rounds=args.rounds, seed=args.seed, burn_in=args.burn_in)
@@ -321,8 +314,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_scan(args):
-    game = load_game(args.game)
+def cmd_scan(game, args):
     if any(lam < 1.0 for lam in args.lambda_grid):
         raise _UsageError("lambda grid values must be at least 1")
     if args.theta_grid is not None and not all(0.0 < t < math.inf for t in args.theta_grid):
@@ -363,16 +355,20 @@ def _build_parser():
     count = _int_at_least(1, "a positive count")
     seed = _int_at_least(0, "a non-negative seed")
     commands = parser.add_subparsers(dest="command", required=True)
+    # positionals only: a parent's optionals would lead each usage line
+    on_game = argparse.ArgumentParser(add_help=False)
+    on_game.add_argument("game")
+    on_pair = argparse.ArgumentParser(add_help=False, parents=[on_game])
+    on_pair.add_argument("p", help="alpha strategy file")
+    on_pair.add_argument("q", help="beta strategy file")
 
-    analyze = commands.add_parser("analyze", help="chain diagnostics for a strategy pair")
-    analyze.add_argument("game")
-    analyze.add_argument("p", help="alpha strategy file")
-    analyze.add_argument("q", help="beta strategy file")
+    analyze = commands.add_parser("analyze", parents=[on_pair],
+                                  help="chain diagnostics for a strategy pair")
     analyze.add_argument("--csv", help="write scalar results to this CSV file")
     analyze.set_defaults(run=cmd_analyze)
 
-    zd = commands.add_parser("zd", help="synthesize a ZD strategy from (a, b, c)")
-    zd.add_argument("game")
+    zd = commands.add_parser("zd", parents=[on_game],
+                             help="synthesize a ZD strategy from (a, b, c)")
     zd.add_argument("a", type=float)
     zd.add_argument("b", type=float)
     zd.add_argument("c", type=float)
@@ -381,8 +377,8 @@ def _build_parser():
     zd.add_argument("--out", help="write the strategy document here")
     zd.set_defaults(run=cmd_zd)
 
-    extort = commands.add_parser("extort", help="extortion tools for symmetric games")
-    extort.add_argument("game")
+    extort = commands.add_parser("extort", parents=[on_game],
+                                 help="extortion tools for symmetric games")
     extort.add_argument("--lambda", dest="lam", type=float, default=None)
     extort.add_argument("--theta", type=float, default=None)
     extort.add_argument("--theta-max", action="store_true", dest="theta_max")
@@ -391,8 +387,7 @@ def _build_parser():
     extort.add_argument("--out", help="write the strategy document here")
     extort.set_defaults(run=cmd_extort)
 
-    pin = commands.add_parser("pin", help="pin the opponent's long-run score")
-    pin.add_argument("game")
+    pin = commands.add_parser("pin", parents=[on_game], help="pin the opponent's long-run score")
     pin.add_argument("--target", type=float, required=True)
     pin.add_argument("--player", choices=["alpha", "beta"], default="alpha")
     pin.add_argument("--opponents", type=count, default=100)
@@ -401,10 +396,7 @@ def _build_parser():
     pin.add_argument("--report", help="write per-opponent verification rows here")
     pin.set_defaults(run=cmd_pin)
 
-    simulate = commands.add_parser("simulate", help="seeded Monte Carlo play")
-    simulate.add_argument("game")
-    simulate.add_argument("p", help="alpha strategy file")
-    simulate.add_argument("q", help="beta strategy file")
+    simulate = commands.add_parser("simulate", parents=[on_pair], help="seeded Monte Carlo play")
     simulate.add_argument("--rounds", type=count, required=True)
     simulate.add_argument("--seed", type=seed, default=42)
     simulate.add_argument("--burn-in", dest="burn_in",
@@ -414,8 +406,8 @@ def _build_parser():
     simulate.add_argument("--csv", help="write the report row to this CSV file")
     simulate.set_defaults(run=cmd_simulate)
 
-    scan = commands.add_parser("scan", help="grid scan of extortion feasibility")
-    scan.add_argument("game")
+    scan = commands.add_parser("scan", parents=[on_game],
+                               help="grid scan of extortion feasibility")
     scan.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, required=True)
     scan.add_argument("--theta-grid", dest="theta_grid", type=_float_list, default=None)
     scan.add_argument("--out", required=True)
@@ -429,7 +421,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(load_game(args.game), args)
     except tuple(_EXIT_CODES) as exc:
         label = "usage error" if isinstance(exc, _UsageError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
