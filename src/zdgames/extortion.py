@@ -149,7 +149,8 @@ def extortion_factor_bounds(game):
         ratio = U / W
     lo = float(ratio[W < 0.0].max(initial=1.0))
     hi = float(ratio[W > 0.0].min(initial=math.inf))
-    dead = bool(((W == 0.0) & (U < -CONDITION_TOL * np.ptp(A))).any())
+    with np.errstate(over="ignore"):  # an infinite spread kills no factor
+        dead = bool(((W == 0.0) & (U < -CONDITION_TOL * np.ptp(A))).any())
     return FactorBounds(lo, hi, not dead and lo <= hi + CONDITION_TOL)
 
 

@@ -57,8 +57,9 @@ class ZDCoefficients:
             raise ValueError("coefficients must not all vanish")
 
     def combine(self, wa, wb):
-        """The target vector a*omega_alpha + b*omega_beta + c."""
-        return self.a * wa + self.b * wb + self.c
+        """The target vector a*omega_alpha + b*omega_beta + c; inf or NaN where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.a * wa + self.b * wb + self.c
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +97,8 @@ class SynthesisResult:
 def _synthesis(player, game, g, t=1.0):
     """``player``'s first components delta + t*g, delta its own-move-1 indicator."""
     n, m = game.n, game.m
-    raw = own_move_one_indicator(player, n, m) + t * g
+    with np.errstate(over="ignore"):  # an overflowing entry is reported as a violation
+        raw = own_move_one_indicator(player, n, m) + t * g
     outside = ~((raw >= -PROB_TOL) & (raw <= 1.0 + PROB_TOL))  # NaN fails it too
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
@@ -224,7 +226,8 @@ def pin_opponent_score(game, pinner, target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
     wa, wb = payoff_vectors(game)
-    g = (wb if pinner == "alpha" else wa) - target
+    with np.errstate(over="ignore"):  # an infinite g pins nothing: NoFeasiblePin below
+        g = (wb if pinner == "alpha" else wa) - target
     t_pos = _feasible_scale(delta, g)[0]
     t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)[0]))
     if t_max > 0.0:

@@ -13,6 +13,7 @@ moves per player.
 
 import contextlib
 import io
+import math
 import pathlib
 import tempfile
 
@@ -23,19 +24,24 @@ from hypothesis import strategies as st
 
 from zdgames import (
     DegenerateDenominator,
+    NoFeasiblePin,
     NonUniqueStationary,
     SimulationConfig,
     ZDCoefficients,
     ZDGamesError,
     expected_scores,
+    extortion_factor_bounds,
     make_game,
     make_strategy,
+    make_symmetric,
+    pin_opponent_score,
     play,
     press_dyson_determinant,
     save_game,
     save_strategy,
     score_combination,
     stationary,
+    synthesize_zd_alpha,
     transition_matrix,
     zd_feasibility_condition,
 )
@@ -195,3 +201,40 @@ def test_cli_returns_a_documented_exit_code(pair):
                 code = main(argv)
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
+
+
+# payoffs at the float limit overflow inside the library; each call must still
+# end in the library's own verdict, not a numpy warning (an error under pytest)
+HUGE = make_symmetric([[1e308, -1e308], [1e308, 0.0]])
+
+
+def pin_at_the_limit():
+    with pytest.raises(NoFeasiblePin):
+        pin_opponent_score(HUGE, "alpha", 1e308)
+
+
+def bounds_at_the_limit():
+    bounds = extortion_factor_bounds(HUGE)
+    assert (bounds.lambda_min, bounds.lambda_max) == (1.0, math.inf)
+
+
+def synthesis_at_the_limit():
+    result = synthesize_zd_alpha(HUGE, ZDCoefficients(1e300, 1e300, 0.0))
+    values = [value for _, value in result.violations]
+    assert not result.feasible
+    assert np.isinf(values).any() and np.isnan(values).any()
+
+
+def combination_at_the_limit():
+    half = np.full((4, 2), 0.5)
+    p = make_strategy("alpha", half, order="alpha-major")
+    q = make_strategy("beta", half, order="alpha-major")
+    with pytest.raises(ValueError, match="f must be finite"):
+        score_combination(HUGE, p, q, ZDCoefficients(10.0, 10.0, 0.0))
+
+
+@pytest.mark.parametrize("check", [pin_at_the_limit, bounds_at_the_limit,
+                                   synthesis_at_the_limit, combination_at_the_limit],
+                         ids=["pin", "bounds", "synthesis", "combination"])
+def test_overflow_at_the_float_limit_gets_the_library_verdict(check):
+    check()
