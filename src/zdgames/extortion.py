@@ -55,10 +55,10 @@ class ExtortionParams:
 class FactorBounds:
     """Admissible extortion factors as the interval [lambda_min, lambda_max].
 
-    ``lambda_min`` is at least 1; ``lambda_max`` may be ``math.inf``.
+    ``lambda_min`` is at least 1, ``lambda_max`` may be ``math.inf``, and
     ``feasible`` is False when the interval is empty or some condition fails
-    for every lam.  The endpoints are exact only up to rounding; at a tie,
-    :func:`check_extortion_factor` gives the verdict.
+    for every lam.  The ends are exact only up to rounding: at a tie, or when a bracket
+    is nonzero but below 1e-12 of the largest, :func:`check_extortion_factor` decides.
     """
 
     lambda_min: float

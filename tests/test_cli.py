@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import zdgames
 from zdgames import (
     ZDCoefficients,
     chicken_family,
@@ -212,6 +217,15 @@ class TestExtort:
         err = capsys.readouterr().err
         assert "overflows" in err and "RuntimeWarning" not in err
 
+    def test_module_runs_as_a_script(self, chicken_path):
+        src = str(pathlib.Path(zdgames.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "zdgames.cli", "extort", chicken_path, "--bounds"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "admissible factors: [1.0, 3.0" in done.stdout
+
     def test_lambda_required(self, chicken_path, capsys):
         assert main(["extort", chicken_path]) == 3
         assert "--lambda" in capsys.readouterr().err
@@ -325,6 +339,15 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "lambda_hat" not in captured.out
+
+    def test_unreadable_game_is_reported_before_the_factor(self, tmp_path, capsys):
+        # main loads the game before any subcommand checks its options
+        p_path, q_path = uniform_pair(tmp_path)
+        missing = str(tmp_path / "missing.json")
+        code = main(["simulate", missing, p_path, q_path, "--rounds", "10", "--lambda", "inf"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "missing.json" in err and "extortion factor" not in err
 
     def test_zero_rounds_usage_error(self, tmp_path, chicken_path):
         p_path, q_path = uniform_pair(tmp_path)

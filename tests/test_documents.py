@@ -92,6 +92,12 @@ class TestGameDocuments:
         assert message.endswith("... (401 digits)")
         assert len(message) < 80
 
+    def test_long_string_cell_message_is_bounded(self):
+        doc = {"n": 2, "m": 2, "A": [[1, 0], [0, "x" * 30]]}
+        # the repr's 32 characters, quotes included, are cut to the first 24
+        with pytest.raises(SchemaError, match=r"row 1 holds 'x{23}\.\.\. \(32 characters\)$"):
+            game_from_document(doc)
+
     def test_integer_past_str_limit_rejected(self):
         # more digits than Python converts to text: the message must not need them
         doc = {"n": 2, "m": 2, "A": [[1, 0], [0, 10**5000]]}

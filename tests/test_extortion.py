@@ -18,6 +18,7 @@ from zdgames import (
     make_symmetric,
     synthesize_zd_alpha,
     theta_max,
+    verify_linear_relation,
 )
 
 from helpers import (
@@ -274,6 +275,23 @@ def test_interval_agrees_with_pointwise_check(problem, s, c):
             assert ok or not bounds.feasible, x
         else:
             assert ok == (bounds.feasible and bounds.lambda_min <= x <= bounds.lambda_max), x
+
+
+@pytest.mark.parametrize("A, limit", [([[1.0, 0.0], [-1e-13, 0.0]], 1.0),
+                                      ([[1e13, 0.0], [-1.0, 0.0]], 1e-13)], ids=["1", "1e13"])
+def test_pointwise_check_decides_a_bracket_under_the_zero_floor(A, limit, rng):
+    # E_21 is nonzero but below 1e-12 of the largest bracket: the pointwise
+    # check counts it as zero, the interval does not, and the two disagree
+    game = make_symmetric(A)
+    report = check_extortion_factor(game, 2.0)
+    assert report.ok and report.theta_max == limit
+    result = extortion_strategy(game, ExtortionParams(2.0, 0.5 * limit))
+    assert result.feasible
+    strategy, coeffs = result.complete(), extortion_coefficients(2.0, 0.0, 0.5 * limit)
+    for _ in range(5):
+        opponent = rand_strategy(rng, "beta", 2, 2)
+        relation = verify_linear_relation(game, strategy, opponent, coeffs)
+        assert relation.holds, relation.residual
 
 
 @given(extortion_problems(), st.integers(-100, 100), st.integers(-20, 20),

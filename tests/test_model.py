@@ -83,6 +83,10 @@ class TestMakeGame:
         with pytest.raises(ValueError):
             make_game(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_one_dimensional_tables_rejected(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            make_game([1, 2], [3, 4])
+
     def test_non_finite_rejected(self):
         A = np.zeros((2, 2))
         B = np.zeros((2, 2))
@@ -185,6 +189,10 @@ class TestMakeStrategy:
         with pytest.raises(ValueError, match="exceeds 1"):
             make_strategy("alpha", [[1.0 + 1e-6, 0.0]] * 4)
 
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            make_strategy("alpha", [[np.nan, np.nan]] + [[1.0, 0.0]] * 3)
+
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             make_strategy("alpha", np.ones(4))
@@ -240,6 +248,10 @@ class TestCompleteFromFirstComponent:
     def test_out_of_range_entry(self):
         with pytest.raises(ValueError, match="outside"):
             complete_from_first_component("alpha", [1.2, 0.5, 0.5, 0.5], 2, 2)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected 4 first components"):
+            complete_from_first_component("alpha", [0.5] * 3, 2, 2)
 
     @pytest.mark.parametrize("player", ["alpha", "beta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
