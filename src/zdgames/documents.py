@@ -90,12 +90,8 @@ def game_from_document(obj, source="<game>"):
     if n < 2 or m < 2:
         raise SchemaError(f"{source}: invalid dimensions n={_shown(n)}, m={_shown(m)}")
     A = _grid(obj, "A", n, m, source)
-    if "B" in obj:
-        B = _grid(obj, "B", m, n, source)
-        try:
-            return make_game(A, B)
-        except ValueError as exc:
-            raise SchemaError(f"{source}: {exc}") from exc
+    if "B" in obj:  # _grid checks all that make_game would
+        return make_game(A, _grid(obj, "B", m, n, source))
     if n != m:
         raise SchemaError(
             f"{source}: field 'B' may be omitted only for symmetric games (n == m), "

@@ -13,7 +13,7 @@ w = omega_beta - a_nn, the extortioner's first components are
 where delta is 1 on the first row and 0 elsewhere, so g_ij is the bracket
 E_ij = (a_ij - a_nn) - lam * (a_ji - a_nn).  The entries stay in [0, 1] for
 small theta > 0 exactly when E_1j <= 0 on the first row and E_ij >= 0 on
-the others; the states that fail are the violated conditions.  Each
+the others; :func:`_brackets` decides which fail and which are ties.  Each
 bracket is affine in lam, so the admissible factors form an interval, and
 for an admissible lam the largest feasible theta is the closed-form t_max
 of :func:`zdgames.zd._feasible_scale`.
@@ -55,10 +55,10 @@ class ExtortionParams:
 class FactorBounds:
     """Admissible extortion factors as the interval [lambda_min, lambda_max].
 
-    ``lambda_min`` is at least 1, ``lambda_max`` may be ``math.inf``, and
-    ``feasible`` is False when the interval is empty or some condition fails
-    for every lam.  The ends are exact only up to rounding: at a tie, or when a bracket
-    is nonzero but below 1e-12 of the largest, :func:`check_extortion_factor` decides.
+    ``lambda_min`` is at least 1 and ``lambda_max`` may be ``math.inf``.  A
+    factor lam >= 1 passes :func:`check_extortion_factor` exactly when
+    ``feasible`` holds and lambda_min*(1 - 2*CONDITION_TOL) <= lam <=
+    lambda_max*(1 + 2*CONDITION_TOL), the check's tie band around each end.
     """
 
     lambda_min: float
@@ -75,8 +75,9 @@ class ConditionReport:
     (rows 2..n-1, E_ij >= 0) or "last-row" (E_nj >= 0, j < n).  An
     "interior" violation at i == j means the diagonal payoff a_ii exceeds
     a_nn, which rules out every lam > 1 on its own; a "first-row" violation
-    at (1, 1) means lam < 1.  ``theta_max`` is the largest feasible scale
-    theta for the factor (``math.inf`` when nothing binds), and 0.0 when the
+    at (1, 1) means lam < 1; :func:`_brackets`, which the interval also
+    reads, decides each.  ``theta_max`` is the largest feasible scale theta
+    for the factor (``math.inf`` when nothing binds), and 0.0 when the
     factor is not admissible.
     """
 
@@ -101,69 +102,78 @@ def _require_normalized(A):
 
 
 def _extortion_vectors(game):
-    """delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, alpha-major."""
+    """delta, u = omega_alpha - a_nn, w = omega_beta - a_nn and the live states.
+
+    A state is live when max(|u|, |w|) > CONDITION_TOL * ptp(A); otherwise
+    its bracket is zero at every lam.  All alpha-major.
+    """
     wa, wb = payoff_vectors(game)
     nn = game.A[-1, -1]
-    return own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
+    u, w = wa - nn, wb - nn
+    floor = np.ptp(CONDITION_TOL * game.A)  # scaled first, so the spread stays finite
+    live = (np.abs(u) > floor) | (np.abs(w) > floor)
+    return own_move_one_indicator("alpha", game.n, game.n), u, w, live
 
 
-def _extortion_direction(game, lam):
-    """delta and g = u - lam*w for the factor ``lam``; ValueError if g overflows."""
-    delta, u, w = _extortion_vectors(game)
+def _brackets(game, lam):
+    """delta, g = u - lam*w with its ties set to 0, and the states ``lam`` fails.
+
+    The one zero rule: g is a tie where the state is not live or |g| <=
+    CONDITION_TOL * (|u| + lam*|w|); the rest fails where sigma*g < 0, with
+    sigma = 1 - 2*delta.  ValueError if g overflows.
+    """
+    delta, u, w, live = _extortion_vectors(game)
     with np.errstate(over="ignore"):
         g = u - lam * w
     if not np.isfinite(g).all():
         raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
-    return delta, g
+    band = CONDITION_TOL * np.abs(u) + (CONDITION_TOL * lam) * np.abs(w)  # finite where g is
+    g[~live | (np.abs(g) <= band)] = 0.0
+    return delta, g, (1.0 - 2.0 * delta) * g < 0.0
 
 
 def check_extortion_factor(game, lam):
     """Evaluate all admissibility conditions for the factor ``lam``, with theta_max."""
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
-    limit, blocking = _feasible_scale(*_extortion_direction(game, lam))
-    if lam < 1.0:  # E_11 = (1 - lam)(a_11 - a_nn) misses lam < 1 when a_11 == a_nn
-        limit, blocking = 0.0, sorted({0, *blocking})
-    violated = []
-    for s in blocking:
-        i, j = divmod(s, game.n)
-        family = FIRST_ROW if i == 0 else LAST_ROW if i == game.n - 1 else INTERIOR
-        violated.append((family, i + 1, j + 1))
-    return ConditionReport(not violated, tuple(violated), limit)
+    delta, g, failing = _brackets(game, lam)
+    failing[0] |= lam < 1.0  # E_11 = (1 - lam)(a_11 - a_nn) misses lam < 1 when a_11 == a_nn
+    n = game.n
+    families = [FIRST_ROW] + [INTERIOR] * (n - 2) + [LAST_ROW]
+    violated = tuple((families[s // n], s // n + 1, s % n + 1)
+                     for s in np.flatnonzero(failing).tolist())
+    limit = 0.0 if violated else _feasible_scale(delta, g)
+    return ConditionReport(not violated, violated, limit)
 
 
 def extortion_factor_bounds(game):
-    """Intersect the affine-in-lam conditions with [1, inf).
+    """Intersect the live states' affine-in-lam conditions with [1, inf).
 
-    With the sign flipped on the first row, every state needs
-    U - lam*W >= 0 (U, W = +-u, +-w), a half-line of admissible lam; a zero
-    W with U below -CONDITION_TOL times the payoff spread rules out every
-    factor.
+    Each live state of :func:`_brackets` needs U - lam*W >= 0, with U, W =
+    sigma*u, sigma*w: a half-line of lam ending at U/W, or no factor at all
+    when W = 0 and U < 0.
     """
-    A = _require_symmetric(game)
-    _require_normalized(A)
-    delta, u, w = _extortion_vectors(game)
+    _require_normalized(_require_symmetric(game))
+    delta, u, w, live = _extortion_vectors(game)
     sign = 1.0 - 2.0 * delta
     U, W = sign * u, sign * w
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # W == 0 is masked out below; a huge ratio is inf
         ratio = U / W
-    lo = float(ratio[W < 0.0].max(initial=1.0))
-    hi = float(ratio[W > 0.0].min(initial=math.inf))
-    with np.errstate(over="ignore"):  # an infinite spread kills no factor
-        dead = bool(((W == 0.0) & (U < -CONDITION_TOL * np.ptp(A))).any())
-    return FactorBounds(lo, hi, not dead and lo <= hi + CONDITION_TOL)
+    lo = float(ratio[live & (W < 0.0)].max(initial=1.0))
+    hi = float(ratio[live & (W > 0.0)].min(initial=math.inf)) + 0.0  # U = -0.0 ends at 0.0
+    fits = lo * (1.0 - 2.0 * CONDITION_TOL) <= hi * (1.0 + 2.0 * CONDITION_TOL)
+    return FactorBounds(lo, hi, fits and not (live & (W == 0.0) & (U < 0.0)).any())
 
 
 def extortion_strategy(game, params):
     """First components delta + theta*g of the extortionate strategy.
 
-    g holds the brackets E_ij directly (see the module docstring) rather
+    g holds the brackets E_ij of :func:`_brackets`, ties set to 0, rather
     than going through :func:`zdgames.zd.extortion_coefficients`, so the
     result is bit for bit the same after an integer shift of the payoffs.
     """
     _require_symmetric(game)
-    _, g = _extortion_direction(game, params.lam)
-    return _synthesis("alpha", game, g, params.theta)
+    return _synthesis("alpha", game, _brackets(game, params.lam)[1], params.theta)
 
 
 def theta_max(game, lam):
@@ -202,7 +212,7 @@ def chicken_extortion(r, lam, theta):
     """
     _check_ratio(r)
     _check_extortion(lam, theta)
-    if r < 1.0 and lam > (1.0 + r) / (1.0 - r) + CONDITION_TOL:
+    if r < 1.0 and lam > (1.0 + r) / (1.0 - r) * (1.0 + 2.0 * CONDITION_TOL):
         raise ValueError(
             f"factor {lam} exceeds the admissible maximum {(1.0 + r) / (1.0 - r)} "
             f"at r={r}"

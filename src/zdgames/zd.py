@@ -111,21 +111,18 @@ def _synthesis(player, game, g, t=1.0):
 
 
 def _feasible_scale(delta, g):
-    """Largest t >= 0 keeping delta + t*g inside [0, 1], and the blocking states.
+    """Largest t >= 0 keeping delta + t*g inside [0, 1].
 
     Each state bounds t by (1 - delta)/g where g > 0 and by delta/(-g) where
-    g < 0, so the feasible scales are [0, t_max].  A state blocks when its
-    bound is 0 (g pushes delta straight out of the box); t_max is then 0.
-    Entries of g below SCALE_RTOL * max|g| count as zero, which makes the
-    answer independent of the payoff scale; g == 0 gives ``math.inf``.  Pass
-    -g for the negative direction.
+    g < 0.  Entries of g below SCALE_RTOL * max|g| count as zero, which makes
+    the answer independent of the payoff scale; g == 0 gives ``math.inf``.
+    Pass -g for the negative direction.
     """
     tol = SCALE_RTOL * np.abs(g).max(initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         limits = np.where(g < -tol, delta / -g, math.inf)
         limits = np.where(g > tol, (1.0 - delta) / g, limits)
-    blocking = tuple(np.flatnonzero(limits == 0.0).tolist())
-    return float(limits.min(initial=math.inf)), blocking
+    return float(limits.min(initial=math.inf))
 
 
 def _zd_matrix(P):
@@ -228,8 +225,8 @@ def pin_opponent_score(game, pinner, target):
     wa, wb = payoff_vectors(game)
     with np.errstate(over="ignore"):  # an infinite g pins nothing: NoFeasiblePin below
         g = (wb if pinner == "alpha" else wa) - target
-    t_pos = _feasible_scale(delta, g)[0]
-    t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)[0]))
+    t_pos = _feasible_scale(delta, g)
+    t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)))
     if t_max > 0.0:
         weight = math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
         if weight > t_pos:

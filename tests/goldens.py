@@ -14,10 +14,11 @@ the files instead; use it only when an output is meant to change.
 Each golden owns its seeded inputs and the functions that compute its
 recorded outputs from them.  The ``test_*golden.py`` modules replay the
 recorded inputs through those same functions and compare at their own
-tolerances.  The tolerance-0 check is not part of the test suite: byte
-identity holds across BLAS thread counts on one host, but is not guaranteed
-across hosts or BLAS builds.  Floats go through ``repr``, which round-trips
-exactly through JSON.
+tolerances.  ``tests/test_goldens.py`` runs the tolerance-0 check in the
+test suite too.  Byte identity holds across BLAS thread counts on one host,
+but is not guaranteed across hosts or BLAS builds: on a new host, a drift
+of a few ulps in that test's output is the host, not the code.  Floats go
+through ``repr``, which round-trips exactly through JSON.
 """
 
 import argparse

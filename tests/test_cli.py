@@ -16,6 +16,7 @@ from zdgames import (
     load_game,
     load_strategy,
     make_strategy,
+    make_symmetric,
     save_game,
     save_strategy,
     verify_linear_relation,
@@ -185,6 +186,12 @@ class TestExtort:
         save_game(chicken_family(1.5), path)
         assert main(["extort", str(path), "--bounds"]) == 0
         assert "inf)" in capsys.readouterr().out
+
+    def test_end_at_zero_prints_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        save_game(make_symmetric([[1.0, 0.0], [-1.0, 0.0]]), path)
+        assert main(["extort", str(path), "--bounds"]) == 0
+        assert capsys.readouterr().out == "admissible factors: [1.0, 0.0]\nfeasible: False\n"
 
     def test_theta_max(self, chicken_path, capsys):
         assert main(["extort", chicken_path, "--lambda", "2", "--theta-max"]) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -66,10 +67,18 @@ class TestGameDocuments:
         with pytest.raises(SchemaError, match="row 1"):
             load_game(write(tmp_path / "game.json", doc))
 
+    # the schema rejects every B that make_game would, naming the file
     def test_wrong_b_shape(self, tmp_path):
         doc = {"n": 2, "m": 2, "A": [[1, 0], [0, 1]], "B": [[1, 0]]}
-        with pytest.raises(SchemaError, match="'B'"):
-            load_game(write(tmp_path / "game.json", doc))
+        path = write(tmp_path / "game.json", doc)
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: field 'B'"):
+            load_game(path)
+
+    def test_non_finite_b(self, tmp_path):
+        doc = {"n": 2, "m": 2, "A": [[1, 0], [0, 1]], "B": [[1, 0], [0, math.inf]]}
+        path = write(tmp_path / "game.json", doc)
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: field 'B' row 1"):
+            load_game(path)
 
     def test_overflowing_literal_rejected(self, tmp_path):
         # json accepts 1e999 and parses it to infinity; the schema must not

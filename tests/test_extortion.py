@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zdgames import (
     ExtortionParams,
+    FactorBounds,
     check_extortion_factor,
     chicken_extortion,
     chicken_family,
@@ -20,6 +21,7 @@ from zdgames import (
     theta_max,
     verify_linear_relation,
 )
+from zdgames.extortion import CONDITION_TOL
 
 from helpers import (
     SCALES,
@@ -132,6 +134,12 @@ class TestFactorBounds:
         bounds = extortion_factor_bounds(make_symmetric([[1.0, 0.0], [0.0, 0.0]]))
         assert bounds.feasible
         assert (bounds.lambda_min, bounds.lambda_max) == (1.0, math.inf)
+
+    def test_end_at_zero_prints_as_zero(self):
+        # U = -0.0 over W = 1 on the first row ends the interval at 0.0, not -0.0
+        bounds = extortion_factor_bounds(make_symmetric([[1.0, 0.0], [-1.0, 0.0]]))
+        assert bounds == FactorBounds(1.0, 0.0, False)
+        assert math.copysign(1.0, bounds.lambda_max) == 1.0
 
     def test_tight_at_the_top(self, rng):
         for _ in range(10):
@@ -255,34 +263,65 @@ def test_admissibility_ignores_payoff_scale_and_shift(problem, s, c):
         assert moved_limit == limit or abs(moved_limit - limit) <= 1e-9 * limit
 
 
-# relative band around each end of [lambda_min, lambda_max], fixed before any
-# run: the ends are ratios of rounded brackets, so at a tied bracket they are
-# off by rounding (A = [[0, 1], [1.5, 0]] scaled by 10**2.5 and shifted by 2
-# has lambda_max = 1.4999999999999998, yet the factor 1.5 is admissible)
-ENDPOINT_BAND = 1e-12
+def assert_one_rule(game, factors):
+    """The check admits a factor x >= 1 exactly when the widened interval holds it.
+
+    The interval is [lambda_min*(1 - 2*CONDITION_TOL), lambda_max*(1 +
+    2*CONDITION_TOL)], empty unless ``feasible``.  Each factor tried is one
+    of ``factors`` or a finite end times 1 - 1e-9, 1 or 1 + 1e-9.  Every
+    admitted factor has theta_max > 0 and a feasible strategy at half of
+    min(theta_max, 1/max|A|).
+    """
+    bounds = extortion_factor_bounds(game)
+    low = bounds.lambda_min * (1.0 - 2.0 * CONDITION_TOL)
+    high = bounds.lambda_max * (1.0 + 2.0 * CONDITION_TOL)
+    ends = [x for x in (bounds.lambda_min, bounds.lambda_max) if math.isfinite(x)]
+    tried = list(factors) + [end * (1.0 + d) for end in ends for d in (-1e-9, 0.0, 1e-9)]
+    biggest = np.abs(game.A).max()
+    for x in (x for x in tried if x >= 1.0):
+        report = check_extortion_factor(game, x)
+        assert report.ok == (bounds.feasible and low <= x <= high), (x, bounds, report)
+        if report.ok:
+            assert report.theta_max > 0.0, x
+            theta = 0.5 * min(report.theta_max, 1.0 / biggest if biggest else 1.0)
+            assert extortion_strategy(game, ExtortionParams(x, theta)).feasible, (x, theta)
 
 
 @given(extortion_problems(), SCALES, SHIFTS)
 def test_interval_agrees_with_pointwise_check(problem, s, c):
     A, lam = problem
-    game = make_symmetric(s * (A + c))
-    bounds = extortion_factor_bounds(game)
-    ends = [x for x in (bounds.lambda_min, bounds.lambda_max) if math.isfinite(x)]
-    for x in [lam] + [end * (1.0 + d) for end in ends for d in (-1e-9, 0.0, 1e-9)]:
-        ok = check_extortion_factor(game, x).ok
-        if any(abs(x - end) <= ENDPOINT_BAND * end for end in ends):
-            # inside the band the ends of a feasible interval are still admitted
-            assert ok or not bounds.feasible, x
-        else:
-            assert ok == (bounds.feasible and bounds.lambda_min <= x <= bounds.lambda_max), x
+    assert_one_rule(make_symmetric(s * (A + c)), [lam])
+
+
+@st.composite
+def wide_games(draw):
+    """A normalized symmetric game whose cells span 15 orders of magnitude.
+
+    Each cell is 0 with probability 0.3, and +-10**U(-15, 0) otherwise, so
+    some brackets sit far below 1e-12 of the largest.
+    """
+    n = draw(st.integers(2, 4))
+    cell = st.tuples(st.integers(0, 9), st.sampled_from([-1.0, 1.0]), st.floats(-15.0, 0.0))
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    A = np.array([0.0 if k < 3 else sign * 10.0**e for k, sign, e in cells]).reshape(n, n)
+    if A[0, 0] < A[-1, -1]:
+        A[0, 0], A[-1, -1] = A[-1, -1], A[0, 0]
+    return A
+
+
+@given(wide_games(), SCALES)
+def test_one_rule_on_wide_magnitudes(A, s):
+    assert_one_rule(make_symmetric(s * A), [1.0, 1.5, 2.0, 3.0, 7.0])
 
 
 @pytest.mark.parametrize("A, limit", [([[1.0, 0.0], [-1e-13, 0.0]], 1.0),
                                       ([[1e13, 0.0], [-1.0, 0.0]], 1e-13)], ids=["1", "1e13"])
 def test_pointwise_check_decides_a_bracket_under_the_zero_floor(A, limit, rng):
-    # E_21 is nonzero but below 1e-12 of the largest bracket: the pointwise
-    # check counts it as zero, the interval does not, and the two disagree
+    # E_21 is nonzero but below 1e-12 of the bracket's own terms, so it is a
+    # tie at every factor: the interval and the check both read it as zero
     game = make_symmetric(A)
+    assert extortion_factor_bounds(game) == FactorBounds(1.0, math.inf, True)
+    assert check_extortion_factor(game, 1.05).ok
     report = check_extortion_factor(game, 2.0)
     assert report.ok and report.theta_max == limit
     result = extortion_strategy(game, ExtortionParams(2.0, 0.5 * limit))
@@ -337,6 +376,15 @@ class TestChickenExtortion:
     def test_factor_beyond_family_bound(self):
         with pytest.raises(ValueError, match="admissible"):
             chicken_extortion(0.5, 3.1, 0.01)
+
+    def test_cap_reads_the_check_band(self):
+        # the cap at r = 0.5 is 3, widened by the relative band the check allows
+        inside, outside = 3.0 * (1.0 + 1e-12), 3.0 * (1.0 + 3e-12)
+        assert check_extortion_factor(chicken_family(0.5), inside).ok
+        chicken_extortion(0.5, inside, 0.01)  # no ValueError
+        assert not check_extortion_factor(chicken_family(0.5), outside).ok
+        with pytest.raises(ValueError, match="admissible"):
+            chicken_extortion(0.5, outside, 0.01)
 
     def test_steep_family_unbounded(self):
         vec = chicken_extortion(1.5, 50.0, 1e-3)

@@ -1,7 +1,8 @@
-"""The tolerance-0 comparer of goldens.py, on copies of the recorded files.
+"""The tolerance-0 check of goldens.py, on the recorded files and on copies.
 
-The check itself regenerates every golden and is run by hand (see
-goldens.py); these tests only make sure that it reports what changed.
+The last test runs the whole check, which regenerates every golden (0.5 to
+1.5 s), so a drifted golden fails the suite.  The others make sure that
+the comparer reports what changed.
 """
 
 import copy
@@ -62,3 +63,7 @@ def test_verdict_and_length_changes_are_reported():
 def test_layout_change_alone_fails(capsys):
     assert not goldens.compare(NAME, TEXT, TEXT.replace("},\n{", "}, {"))
     assert f"{NAME}: same values, different layout" in capsys.readouterr().out
+
+
+def test_every_golden_is_written_byte_for_byte(capsys):
+    assert goldens.main([]) == 0, capsys.readouterr().out
