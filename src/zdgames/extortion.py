@@ -13,10 +13,10 @@ w = omega_beta - a_nn, the extortioner's first components are
 where delta is 1 on the first row and 0 elsewhere, so g_ij is the bracket
 E_ij = (a_ij - a_nn) - lam * (a_ji - a_nn).  The entries stay in [0, 1] for
 small theta > 0 exactly when E_1j <= 0 on the first row and E_ij >= 0 on
-the others; :func:`_brackets` decides which fail and which are ties.  Each
-bracket is affine in lam, so the admissible factors form an interval, and
-for an admissible lam the largest feasible theta is the closed-form t_max
-of :func:`zdgames.zd._feasible_scale`.
+the others; :func:`_half_lines` decides which fail.  Each bracket is
+affine in lam, so the admissible factors form an interval, and for an
+admissible lam the largest feasible theta is 1/max|g|, capped where a
+tie is nonzero.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_ratio, own_move_one_indicator, payoff_vectors
-from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
+from .model import PROB_TOL, _check_ratio, own_move_one_indicator, payoff_vectors
+from .zd import _check_extortion, _check_factor, _synthesis
 
 CONDITION_TOL = 1e-12
 
@@ -55,10 +55,10 @@ class ExtortionParams:
 class FactorBounds:
     """Admissible extortion factors as the interval [lambda_min, lambda_max].
 
-    ``lambda_min`` is at least 1 and ``lambda_max`` may be ``math.inf``.  A
-    factor lam >= 1 passes :func:`check_extortion_factor` exactly when
-    ``feasible`` holds and lambda_min*(1 - 2*CONDITION_TOL) <= lam <=
-    lambda_max*(1 + 2*CONDITION_TOL), the check's tie band around each end.
+    ``lambda_min`` is at least 1 and ``lambda_max`` may be ``math.inf``.
+    ``feasible`` holds when some factor passes :func:`check_extortion_factor`,
+    and then a lam >= 1 passes exactly when lambda_min*(1 - 2*CONDITION_TOL)
+    <= lam <= lambda_max*(1 + 2*CONDITION_TOL), the check's tie band.
     """
 
     lambda_min: float
@@ -75,9 +75,8 @@ class ConditionReport:
     (rows 2..n-1, E_ij >= 0) or "last-row" (E_nj >= 0, j < n).  An
     "interior" violation at i == j means the diagonal payoff a_ii exceeds
     a_nn, which rules out every lam > 1 on its own; a "first-row" violation
-    at (1, 1) means lam < 1; :func:`_brackets`, which the interval also
-    reads, decides each.  ``theta_max`` is the largest feasible scale theta
-    for the factor (``math.inf`` when nothing binds), and 0.0 when the
+    at (1, 1) means lam < 1.  ``theta_max`` is the largest feasible scale
+    theta for the factor (``math.inf`` when nothing binds), and 0.0 when the
     factor is not admissible.
     """
 
@@ -99,81 +98,87 @@ def _require_normalized(A):
             f"expected a_11 >= a_nn, got a_11={A[0, 0]} < a_nn={A[-1, -1]}; "
             "relabel the strategies first"
         )
+    return A
 
 
 def _extortion_vectors(game):
-    """delta, u = omega_alpha - a_nn, w = omega_beta - a_nn and the live states.
-
-    A state is live when max(|u|, |w|) > CONDITION_TOL * ptp(A); otherwise
-    its bracket is zero at every lam.  All alpha-major.
-    """
+    """sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn."""
     wa, wb = payoff_vectors(game)
     nn = game.A[-1, -1]
-    u, w = wa - nn, wb - nn
-    floor = np.ptp(CONDITION_TOL * game.A)  # scaled first, so the spread stays finite
-    live = (np.abs(u) > floor) | (np.abs(w) > floor)
-    return own_move_one_indicator("alpha", game.n, game.n), u, w, live
+    return 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
 
 
-def _brackets(game, lam):
-    """delta, g = u - lam*w with its ties set to 0, and the states ``lam`` fails.
-
-    The one zero rule: g is a tie where the state is not live or |g| <=
-    CONDITION_TOL * (|u| + lam*|w|); the rest fails where sigma*g < 0, with
-    sigma = 1 - 2*delta.  ValueError if g overflows.
-    """
-    delta, u, w, live = _extortion_vectors(game)
+def _brackets(u, w, lam):
+    """g = u - lam*w, the brackets E_ij; ValueError if one overflows."""
     with np.errstate(over="ignore"):
         g = u - lam * w
     if not np.isfinite(g).all():
         raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
-    band = CONDITION_TOL * np.abs(u) + (CONDITION_TOL * lam) * np.abs(w)  # finite where g is
-    g[~live | (np.abs(g) <= band)] = 0.0
-    return delta, g, (1.0 - 2.0 * delta) * g < 0.0
+    return g
+
+
+def _half_lines(A, sigma, u, w):
+    """The one zero rule: ends U/W and masks for lam >= U/W, lam <= U/W, no lam.
+
+    A live state, max(|u|, |w|) > CONDITION_TOL * ptp(A), needs U - lam*W >= 0
+    with U, W = sigma*u, sigma*w; the brackets of the other states are 0.
+    """
+    scaled = CONDITION_TOL * A  # scaled first, so the spread stays finite
+    live = np.maximum(np.abs(u), np.abs(w)) > scaled.max() - scaled.min()
+    U, W = sigma * u, sigma * w
+    with np.errstate(all="ignore"):  # W == 0 is masked out; a huge ratio is inf
+        ends = U / W
+    return ends, live & (W < 0.0), live & (W > 0.0), live & (W == 0.0) & (U < 0.0)
 
 
 def check_extortion_factor(game, lam):
-    """Evaluate all admissibility conditions for the factor ``lam``, with theta_max."""
+    """Evaluate all admissibility conditions for the factor ``lam``, with theta_max.
+
+    ``lam`` fails a state of :func:`_half_lines` whose half-line, its end
+    widened to end*(1 -+ 2*CONDITION_TOL), misses it.  theta_max is then
+    1/|g| over the brackets, or PROB_TOL/|g| where a bracket left with the
+    wrong sign is a tie, so the entry moves out of [0, 1] by PROB_TOL at most.
+    """
     _check_factor(lam)
-    _require_normalized(_require_symmetric(game))
-    delta, g, failing = _brackets(game, lam)
+    A = _require_normalized(_require_symmetric(game))
+    sigma, u, w = _extortion_vectors(game)
+    inward = sigma * _brackets(u, w, lam)  # < 0 at a tie
+    ends, lower, upper, failing = _half_lines(A, sigma, u, w)
+    with np.errstate(over="ignore"):  # an end at the float limit widens to inf
+        failing |= lower & (lam < ends * (1.0 - 2.0 * CONDITION_TOL))
+        failing |= upper & (lam > ends * (1.0 + 2.0 * CONDITION_TOL))
     failing[0] |= lam < 1.0  # E_11 = (1 - lam)(a_11 - a_nn) misses lam < 1 when a_11 == a_nn
-    n = game.n
-    families = [FIRST_ROW] + [INTERIOR] * (n - 2) + [LAST_ROW]
-    violated = tuple((families[s // n], s // n + 1, s % n + 1)
-                     for s in np.flatnonzero(failing).tolist())
-    limit = 0.0 if violated else _feasible_scale(delta, g)
-    return ConditionReport(not violated, violated, limit)
+    families = [FIRST_ROW] + [INTERIOR] * (game.n - 2) + [LAST_ROW]
+    violated = tuple((families[i], i + 1, j + 1) for i, j in
+                     (divmod(s, game.n) for s in np.flatnonzero(failing).tolist()))
+    if violated:
+        return ConditionReport(False, violated, 0.0)
+    step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
+    return ConditionReport(True, (), min(1.0 / step if step else math.inf,
+                                         PROB_TOL / tie if tie else math.inf))
 
 
 def extortion_factor_bounds(game):
-    """Intersect the live states' affine-in-lam conditions with [1, inf).
-
-    Each live state of :func:`_brackets` needs U - lam*W >= 0, with U, W =
-    sigma*u, sigma*w: a half-line of lam ending at U/W, or no factor at all
-    when W = 0 and U < 0.
-    """
-    _require_normalized(_require_symmetric(game))
-    delta, u, w, live = _extortion_vectors(game)
-    sign = 1.0 - 2.0 * delta
-    U, W = sign * u, sign * w
-    with np.errstate(all="ignore"):  # W == 0 is masked out below; a huge ratio is inf
-        ratio = U / W
-    lo = float(ratio[live & (W < 0.0)].max(initial=1.0))
-    hi = float(ratio[live & (W > 0.0)].min(initial=math.inf)) + 0.0  # U = -0.0 ends at 0.0
-    fits = lo * (1.0 - 2.0 * CONDITION_TOL) <= hi * (1.0 + 2.0 * CONDITION_TOL)
-    return FactorBounds(lo, hi, fits and not (live & (W == 0.0) & (U < 0.0)).any())
+    """Intersect the half-lines of :func:`_half_lines` with [1, inf)."""
+    A = _require_normalized(_require_symmetric(game))
+    ends, lower, upper, dead = _half_lines(A, *_extortion_vectors(game))
+    lo = float(ends[lower].max(initial=1.0))
+    hi = float(ends[upper].min(initial=math.inf)) + 0.0  # U = -0.0 ends at 0.0
+    fits = max(1.0, lo * (1.0 - 2.0 * CONDITION_TOL)) <= hi * (1.0 + 2.0 * CONDITION_TOL)
+    return FactorBounds(lo, hi, fits and not dead.any())
 
 
 def extortion_strategy(game, params):
     """First components delta + theta*g of the extortionate strategy.
 
-    g holds the brackets E_ij of :func:`_brackets`, ties set to 0, rather
+    g holds the brackets E_ij directly (see the module docstring) rather
     than going through :func:`zdgames.zd.extortion_coefficients`, so the
     result is bit for bit the same after an integer shift of the payoffs.
+    A tie keeps its sign: past theta_max its entry may be a violation.
     """
     _require_symmetric(game)
-    return _synthesis("alpha", game, _brackets(game, params.lam)[1], params.theta)
+    _, u, w = _extortion_vectors(game)
+    return _synthesis("alpha", game, _brackets(u, w, params.lam), params.theta)
 
 
 def theta_max(game, lam):
@@ -182,8 +187,8 @@ def theta_max(game, lam):
     The entries are delta + theta*g with g = u - lam*w, so this is the
     closed form min over states of 1/(-g) on the first row (where g < 0)
     and 1/g elsewhere (where g > 0): 1/((lam-1)*(a_11 - a_nn)) from the
-    (1,1) entry up to rounding, 1/(-E_1j) and 1/E_ij from the brackets.
-    Returns ``math.inf`` when nothing binds.
+    (1,1) entry up to rounding, 1/(-E_1j) and 1/E_ij from the brackets, and
+    PROB_TOL/|g| from a tie.  Returns ``math.inf`` when nothing binds.
 
     Raises
     ------
@@ -207,7 +212,7 @@ def chicken_extortion(r, lam, theta):
 
         (1 - theta*(lam - 1),
          1 - theta*((lam + 1)*r + lam - 1),
-         theta*(1 + r - lam*(1 - r)),
+         theta*max(1 + r - lam*(1 - r), 0),
          0)
     """
     _check_ratio(r)
@@ -217,11 +222,6 @@ def chicken_extortion(r, lam, theta):
             f"factor {lam} exceeds the admissible maximum {(1.0 + r) / (1.0 - r)} "
             f"at r={r}"
         )
-    return np.array(
-        [
-            1.0 - theta * (lam - 1.0),
-            1.0 - theta * ((lam + 1.0) * r + lam - 1.0),
-            theta * (1.0 + r - lam * (1.0 - r)),
-            0.0,
-        ]
-    )
+    third = max(1.0 + r - lam * (1.0 - r), 0.0)  # a tie in the band above the maximum
+    return np.array([1.0 - theta * (lam - 1.0),
+                     1.0 - theta * ((lam + 1.0) * r + lam - 1.0), theta * third, 0.0])

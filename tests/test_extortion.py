@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zdgames import (
     ExtortionParams,
     FactorBounds,
+    NonUniqueStationary,
     check_extortion_factor,
     chicken_extortion,
     chicken_family,
@@ -17,8 +18,11 @@ from zdgames import (
     extortion_strategy,
     make_game,
     make_symmetric,
+    payoff_vectors,
+    stationary,
     synthesize_zd_alpha,
     theta_max,
+    transition_matrix,
     verify_linear_relation,
 )
 from zdgames.extortion import CONDITION_TOL
@@ -116,6 +120,11 @@ class TestCheckFactor:
                 check(game, 1.7e308)
         with pytest.raises(ValueError, match="overflows"):
             extortion_strategy(game, ExtortionParams(1.7e308, 0.1))
+
+    def test_end_at_the_float_limit(self):
+        # the (2,1) half-line ends at the largest float; widening it must not warn
+        game = make_symmetric([[1.0, 1.0], [np.finfo(float).max, 0.0]])
+        assert check_extortion_factor(game, 1.0).ok
 
 
 class TestFactorBounds:
@@ -269,8 +278,8 @@ def assert_one_rule(game, factors):
     The interval is [lambda_min*(1 - 2*CONDITION_TOL), lambda_max*(1 +
     2*CONDITION_TOL)], empty unless ``feasible``.  Each factor tried is one
     of ``factors`` or a finite end times 1 - 1e-9, 1 or 1 + 1e-9.  Every
-    admitted factor has theta_max > 0 and a feasible strategy at half of
-    min(theta_max, 1/max|A|).
+    admitted factor has theta_max > 0, and at half of it (of 1/max|A| when
+    theta_max is inf) a feasible strategy that enforces the relation.
     """
     bounds = extortion_factor_bounds(game)
     low = bounds.lambda_min * (1.0 - 2.0 * CONDITION_TOL)
@@ -283,8 +292,33 @@ def assert_one_rule(game, factors):
         assert report.ok == (bounds.feasible and low <= x <= high), (x, bounds, report)
         if report.ok:
             assert report.theta_max > 0.0, x
-            theta = 0.5 * min(report.theta_max, 1.0 / biggest if biggest else 1.0)
-            assert extortion_strategy(game, ExtortionParams(x, theta)).feasible, (x, theta)
+            limit = report.theta_max
+            theta = 0.5 * (limit if math.isfinite(limit) else 1.0 / biggest if biggest else 1.0)
+            result = extortion_strategy(game, ExtortionParams(x, theta))
+            assert result.feasible, (x, theta)
+            assert_enforced(game, result.complete(), x, theta)
+
+
+def assert_enforced(game, strategy, lam, theta):
+    """pi_alpha - a_nn = lam*(pi_beta - a_nn) against one random opponent.
+
+    Checked as theta * v . (u - lam*w) = 0 for the stationary v, with u, w
+    the payoff vectors less a_nn: the residual verify_linear_relation reads,
+    but summed over the brackets rather than over the payoffs, so a theta of
+    1e8 over payoffs near 1 does not turn the rounding of pi into a residual
+    of 3e-8.  A chain without a unique v (the strategy repeats its own move)
+    is skipped.
+    """
+    rng = np.random.default_rng(17)
+    opponent = rand_strategy(rng, "beta", game.n, game.n)
+    try:
+        v = stationary(transition_matrix(strategy, opponent)).v
+    except NonUniqueStationary:
+        return
+    wa, wb = payoff_vectors(game)
+    nn = game.A[-1, -1]
+    residual = theta * abs(v @ ((wa - nn) - lam * (wb - nn)))
+    assert residual < 1e-9, (lam, theta, residual)
 
 
 @given(extortion_problems(), SCALES, SHIFTS)
@@ -310,27 +344,33 @@ def wide_games(draw):
 
 
 @given(wide_games(), SCALES)
+@example(np.array([[1.0, 0.0], [-1e-13, 0.0]]), 1.0)  # ties alone bound theta near 1
 def test_one_rule_on_wide_magnitudes(A, s):
     assert_one_rule(make_symmetric(s * A), [1.0, 1.5, 2.0, 3.0, 7.0])
 
 
-@pytest.mark.parametrize("A, limit", [([[1.0, 0.0], [-1e-13, 0.0]], 1.0),
-                                      ([[1e13, 0.0], [-1.0, 0.0]], 1e-13)], ids=["1", "1e13"])
-def test_pointwise_check_decides_a_bracket_under_the_zero_floor(A, limit, rng):
+@pytest.mark.parametrize("A, limits", [([[1.0, 0.0], [-1e-13, 0.0]], (1.0, 10.0)),
+                                       ([[1e13, 0.0], [-1.0, 0.0]], (1e-13, 1e-12))],
+                         ids=["1", "1e13"])
+def test_pointwise_check_decides_a_bracket_under_the_zero_floor(A, limits, rng):
     # E_21 is nonzero but below 1e-12 of the bracket's own terms, so it is a
-    # tie at every factor: the interval and the check both read it as zero
+    # tie at every factor: the interval and the check both read it as zero.
+    # Just above lambda_min the (1,1) bracket alone would allow theta ~ 1e9,
+    # which the tie E_21 caps at PROB_TOL/|E_21|
     game = make_symmetric(A)
     assert extortion_factor_bounds(game) == FactorBounds(1.0, math.inf, True)
     assert check_extortion_factor(game, 1.05).ok
-    report = check_extortion_factor(game, 2.0)
-    assert report.ok and report.theta_max == limit
-    result = extortion_strategy(game, ExtortionParams(2.0, 0.5 * limit))
-    assert result.feasible
-    strategy, coeffs = result.complete(), extortion_coefficients(2.0, 0.0, 0.5 * limit)
-    for _ in range(5):
-        opponent = rand_strategy(rng, "beta", 2, 2)
-        relation = verify_linear_relation(game, strategy, opponent, coeffs)
-        assert relation.holds, relation.residual
+    assert check_extortion_factor(game, 2.0).theta_max == limits[0]
+    for lam, limit in zip((2.0, 1.0 + 1e-9), limits):
+        report = check_extortion_factor(game, lam)
+        assert report.ok and report.theta_max == pytest.approx(limit, rel=1e-8)
+        result = extortion_strategy(game, ExtortionParams(lam, 0.5 * report.theta_max))
+        assert result.feasible
+        coeffs = extortion_coefficients(lam, 0.0, 0.5 * report.theta_max)
+        for _ in range(5):
+            opponent = rand_strategy(rng, "beta", 2, 2)
+            relation = verify_linear_relation(game, result.complete(), opponent, coeffs)
+            assert relation.holds, (lam, relation.residual)
 
 
 @given(extortion_problems(), st.integers(-100, 100), st.integers(-20, 20),
@@ -381,7 +421,8 @@ class TestChickenExtortion:
         # the cap at r = 0.5 is 3, widened by the relative band the check allows
         inside, outside = 3.0 * (1.0 + 1e-12), 3.0 * (1.0 + 3e-12)
         assert check_extortion_factor(chicken_family(0.5), inside).ok
-        chicken_extortion(0.5, inside, 0.01)  # no ValueError
+        vec = chicken_extortion(0.5, inside, 0.01)  # no ValueError
+        assert vec[2] == 0.0 and ((0.0 <= vec) & (vec <= 1.0)).all()
         assert not check_extortion_factor(chicken_family(0.5), outside).ok
         with pytest.raises(ValueError, match="admissible"):
             chicken_extortion(0.5, outside, 0.01)
