@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PROB_TOL, _check_ratio, own_move_one_indicator, payoff_vectors
-from .zd import _check_extortion, _check_factor, _synthesis
+from .model import _check_ratio, own_move_one_indicator, payoff_vectors
+from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
 
@@ -136,8 +136,8 @@ def check_extortion_factor(game, lam):
 
     ``lam`` fails a state of :func:`_half_lines` whose half-line, its end
     widened to end*(1 -+ 2*CONDITION_TOL), misses it.  theta_max is then
-    1/|g| over the brackets, or PROB_TOL/|g| where a bracket left with the
-    wrong sign is a tie, so the entry moves out of [0, 1] by PROB_TOL at most.
+    :func:`zdgames.zd._feasible_scale` of sigma*g, so a bracket left with the
+    wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most.
     """
     _check_factor(lam)
     A = _require_normalized(_require_symmetric(game))
@@ -153,9 +153,7 @@ def check_extortion_factor(game, lam):
                      (divmod(s, game.n) for s in np.flatnonzero(failing).tolist()))
     if violated:
         return ConditionReport(False, violated, 0.0)
-    step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
-    return ConditionReport(True, (), min(1.0 / step if step else math.inf,
-                                         PROB_TOL / tie if tie else math.inf))
+    return ConditionReport(True, (), _feasible_scale(inward))
 
 
 def extortion_factor_bounds(game):

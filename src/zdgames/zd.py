@@ -37,6 +37,7 @@ from .model import (
     payoff_vectors,
 )
 
+# the pin's sign test: |(1 - 2*delta)*g| <= SCALE_RTOL * max|g| counts as zero
 SCALE_RTOL = 1e-12
 
 
@@ -110,19 +111,16 @@ def _synthesis(player, game, g, t=1.0):
     return SynthesisResult(player, n, m, _frozen(raw), feasible, violations)
 
 
-def _feasible_scale(delta, g):
-    """Largest t >= 0 keeping delta + t*g inside [0, 1].
+def _feasible_scale(inward):
+    """Largest t >= 0 keeping delta + t*g inside [0, 1] up to PROB_TOL.
 
-    Each state bounds t by (1 - delta)/g where g > 0 and by delta/(-g) where
-    g < 0.  Entries of g below SCALE_RTOL * max|g| count as zero, which makes
-    the answer independent of the payoff scale; g == 0 gives ``math.inf``.
-    Pass -g for the negative direction.
+    ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta
+    into [0, 1] as t grows: such an entry binds t at 1/inward.  A negative entry
+    (a tie) moves out of [0, 1] and binds t at PROB_TOL/|inward|.  Returns
+    ``math.inf`` when nothing binds.
     """
-    tol = SCALE_RTOL * np.abs(g).max(initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        limits = np.where(g < -tol, delta / -g, math.inf)
-        limits = np.where(g > tol, (1.0 - delta) / g, limits)
-    return float(limits.min(initial=math.inf))
+    step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
+    return min(1.0 / step if step else math.inf, PROB_TOL / tie if tie else math.inf)
 
 
 def _zd_matrix(P):
@@ -207,16 +205,16 @@ def pin_opponent_score(game, pinner, target):
 
     Alpha pins beta with (0, w, -w*target) and beta pins alpha with
     (w, 0, -w*target), so the first components are delta + w*g with
-    g = omega_opponent - target, and the feasible weights form the closed
-    interval [-t_neg, t_pos] given by :func:`_feasible_scale`.  The weight is
-    the largest power of two up to min(16, max(t_pos, t_neg)), positive when
-    it fits under t_pos; a power of two keeps c = -w*target exact.
+    g = omega_opponent - target.  w > 0 needs (1 - 2*delta)*g >= 0 in every
+    state and w < 0 needs it <= 0, each up to SCALE_RTOL * max|g|; |w| is the
+    largest power of two up to min(16, :func:`_feasible_scale`), which keeps
+    c = -w*target exact.
 
     Raises
     ------
     NoFeasiblePin
-        When both t_pos and t_neg are 0, i.e. the target lies outside the
-        window the pinner can enforce, or when rounding leaves the one
+        When (1 - 2*delta)*g takes both signs, i.e. the target lies outside
+        the window the pinner can enforce, or when rounding leaves the one
         synthesis outside [0, 1].
     """
     if not math.isfinite(target):
@@ -225,12 +223,12 @@ def pin_opponent_score(game, pinner, target):
     wa, wb = payoff_vectors(game)
     with np.errstate(over="ignore"):  # an infinite g pins nothing: NoFeasiblePin below
         g = (wb if pinner == "alpha" else wa) - target
-    t_pos = _feasible_scale(delta, g)
-    t_max = min(16.0, max(t_pos, _feasible_scale(delta, -g)))
-    if t_max > 0.0:
-        weight = math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
-        if weight > t_pos:
-            weight = -weight
+    inward = (1.0 - 2.0 * delta) * g
+    tol = SCALE_RTOL * np.abs(g).max(initial=0.0)
+    sign = 1.0 if (inward >= -tol).all() else -1.0
+    if (sign * inward >= -tol).all():
+        t_max = min(16.0, _feasible_scale(sign * inward))
+        weight = sign * math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
         result = _synthesis(pinner, game, g, weight)
         if result.feasible:
             a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
@@ -277,11 +275,13 @@ class RelationCheck:
 
 
 def verify_linear_relation(game, p, q, coeffs):
-    """|a*pi_alpha + b*pi_beta + c| via the stationary solve; holds below 1e-9.
+    """|a*pi_alpha + b*pi_beta + c| via the stationary solve.
 
-    Deliberately avoids the determinant path so the two computations stay
-    independent cross-checks of each other.
+    Holds below 1e-9 * max(1, |a|, |b|): the relation is homogeneous in
+    (a, b, c), and large coefficients scale the rounding of pi with it;
+    ``residual`` is not rescaled.  Deliberately avoids the determinant path
+    so the two computations stay independent cross-checks of each other.
     """
     scores = expected_scores(game, p, q)
     residual = abs(coeffs.a * scores.pi_alpha + coeffs.b * scores.pi_beta + coeffs.c)
-    return RelationCheck(residual, residual < 1e-9)
+    return RelationCheck(residual, residual < 1e-9 * max(1.0, abs(coeffs.a), abs(coeffs.b)))

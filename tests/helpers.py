@@ -5,6 +5,8 @@ reproducible; interior (Dirichlet) strategy rows keep the joint chain
 strictly positive, hence ergodic with a unique stationary vector.
 """
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -168,6 +170,39 @@ def n2_admissible(game, lam):
     last = (A[1, 0] - A[1, 1]) - lam * (A[0, 1] - A[1, 1])
     tol = 1e-12 * np.ptp(A)
     return bool(first <= tol and last >= -tol)
+
+
+def pin_oracle(game, pinner, target):
+    """Reference pin of the opponent's score: (weight, p1), or None if there is none.
+
+    The sign-block rule, restated from the payoff matrices.  With g the
+    opponent's payoff less ``target`` and delta the pinner's own-move-1
+    indicator, a positive weight needs (1 - 2*delta)*g >= 0 in every state and
+    a negative one needs it <= 0, both up to 1e-12*max|g|.  The weight is the
+    largest power of two <= min(16, 1/max|g|), signed, and p1 is
+    delta + weight*g clipped to [0, 1].
+    """
+    n, m = game.n, game.m
+    i, j = np.divmod(np.arange(n * m), m)  # state (i, j) at flat index i*m + j
+    if pinner == "alpha":
+        g, delta = np.asarray(game.B)[j, i] - target, (i == 0).astype(float)
+    else:
+        g, delta = np.asarray(game.A)[i, j] - target, (j == 0).astype(float)
+    inward = np.where(delta == 1.0, -g, g)
+    size = float(np.abs(g).max())
+    if (inward >= -1e-12 * size).all():
+        sign = 1.0
+    elif (inward <= 1e-12 * size).all():
+        sign = -1.0
+    else:
+        return None
+    limit = min(16.0, 1.0 / size) if size else 16.0
+    weight = 2.0 ** math.floor(math.log2(limit))
+    while weight > limit:
+        weight /= 2.0
+    while 2.0 * weight <= limit:
+        weight *= 2.0
+    return sign * weight, np.clip(delta + sign * weight * g, 0.0, 1.0)
 
 
 def rand_game(rng, n, m, low=-1.0, high=4.0):

@@ -439,6 +439,18 @@ class TestScan:
         assert not out.exists()
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 9 ms on first use; only simulate, pin and scan
+    # draw random numbers, so importing the CLI must not load it
+    src = str(pathlib.Path(zdgames.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, zdgames.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 class TestParser:
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as exc:

@@ -302,12 +302,12 @@ def assert_one_rule(game, factors):
 def assert_enforced(game, strategy, lam, theta):
     """pi_alpha - a_nn = lam*(pi_beta - a_nn) against one random opponent.
 
-    Checked as theta * v . (u - lam*w) = 0 for the stationary v, with u, w
-    the payoff vectors less a_nn: the residual verify_linear_relation reads,
-    but summed over the brackets rather than over the payoffs, so a theta of
-    1e8 over payoffs near 1 does not turn the rounding of pi into a residual
-    of 3e-8.  A chain without a unique v (the strategy repeats its own move)
-    is skipped.
+    Checked twice: by verify_linear_relation, whose bound scales with the
+    coefficients (theta, -theta*lam), and as theta * v . (u - lam*w) = 0 for
+    the stationary v, with u, w the payoff vectors less a_nn, which sums the
+    relation over the brackets rather than over the payoffs and so holds to
+    an absolute 1e-9 even at theta near 1e8.  A chain without a unique v
+    (the strategy repeats its own move) is skipped.
     """
     rng = np.random.default_rng(17)
     opponent = rand_strategy(rng, "beta", game.n, game.n)
@@ -315,8 +315,11 @@ def assert_enforced(game, strategy, lam, theta):
         v = stationary(transition_matrix(strategy, opponent)).v
     except NonUniqueStationary:
         return
-    wa, wb = payoff_vectors(game)
     nn = game.A[-1, -1]
+    coeffs = extortion_coefficients(lam, nn, theta)
+    relation = verify_linear_relation(game, strategy, opponent, coeffs)
+    assert relation.holds, (lam, theta, relation.residual)
+    wa, wb = payoff_vectors(game)
     residual = theta * abs(v @ ((wa - nn) - lam * (wb - nn)))
     assert residual < 1e-9, (lam, theta, residual)
 

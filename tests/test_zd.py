@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from zdgames import (
     FILL_RULES,
     DegenerateDenominator,
+    ExtortionParams,
     NoFeasiblePin,
     ZDCoefficients,
     chicken_family,
     complete_from_first_component,
     expected_scores,
     extortion_coefficients,
+    extortion_strategy,
     make_game,
     make_strategy,
     make_symmetric,
@@ -25,6 +27,7 @@ from zdgames import (
     stationary,
     synthesize_zd_alpha,
     synthesize_zd_beta,
+    theta_max,
     transition_matrix,
     verify_linear_relation,
     zd_feasibility_condition,
@@ -36,6 +39,7 @@ from helpers import (
     SHIFTS,
     feasible_zd_instance,
     payoff_grid,
+    pin_oracle,
     rand_game,
     rand_mixed_pure_strategy,
     rand_strategy,
@@ -380,6 +384,55 @@ def test_pin_verdict_ignores_payoff_scale_and_shift(problem, s, c):
     assert _pinnable(moved, pinner, s * (target + c)) == _pinnable(game, pinner, target)
 
 
+@st.composite
+def pin_targets(draw):
+    """A 2x2..4x4 game at payoff scale 10^k, k in -6..12, a pinner and a target.
+
+    The opponent's integer payoffs are sorted, so that the pinner's
+    own-move-1 states get the smallest (or largest) values and the window
+    between the two groups is nonempty, or left in drawn order.  The target
+    lies inside that window, at one of its ends, on a payoff value (a tie),
+    or just outside an end.
+    """
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    pinner = draw(st.sampled_from(["alpha", "beta"]))
+    scale = 10.0 ** draw(st.integers(-6, 12))
+    own = own_move_one_indicator(pinner, n, m) == 1.0
+    values = draw(payoff_grid(1, n * m)).ravel()
+    if draw(st.booleans()):
+        values = np.sort(values)[::draw(st.sampled_from([1, -1]))]
+    k = int(own.sum())
+    lo, hi = sorted(values[k - 1 : k + 1])
+    width = 1e-9 * max(1.0, float(np.abs(values).max()))
+    tie = draw(st.sampled_from(values.tolist()))
+    target = draw(st.sampled_from([(lo + hi) / 2.0, lo, hi, tie, lo - width, hi + width]))
+    opponent = np.empty(n * m)
+    opponent[own], opponent[~own] = scale * values[:k], scale * values[k:]
+    own_payoffs = scale * draw(payoff_grid(n, m) if pinner == "alpha" else payoff_grid(m, n))
+    if pinner == "alpha":
+        game = make_game(own_payoffs, opponent.reshape(n, m).T)
+    else:
+        game = make_game(opponent.reshape(n, m), own_payoffs)
+    return game, pinner, scale * target
+
+
+@given(pin_targets())
+def test_pin_follows_the_sign_block_rule(case):
+    game, pinner, target = case
+    expected = pin_oracle(game, pinner, target)
+    try:
+        result, coeffs = pin_opponent_score(game, pinner, target)
+    except NoFeasiblePin:
+        assert expected is None
+        return
+    assert expected is not None
+    weight, p1 = expected
+    pinned = (coeffs.b, coeffs.a) if pinner == "alpha" else (coeffs.a, coeffs.b)
+    assert (*pinned, coeffs.c) == (weight, 0.0, -weight * target)
+    assert result.player == pinner and result.feasible
+    assert np.array_equal(result.p1, p1)
+
+
 class TestExtortionCoefficients:
     def test_zero_offset(self):
         coeffs = extortion_coefficients(2.0, 0.0, 0.1)
@@ -424,6 +477,25 @@ class TestVerifyLinearRelation:
             q = rand_strategy(rng, "beta", 3, 2)
             check = verify_linear_relation(game, p, q, coeffs)
             assert check.holds and check.residual < 1e-9
+
+    def test_tolerance_scales_with_the_coefficients(self, rng):
+        # at lam = 1 + 1e-9 the extortioner's theta_max is about 3.3e8, and
+        # theta multiplies the rounding of pi into a residual of 3e-8; the
+        # relation is homogeneous, so the bound scales with max(|a|, |b|)
+        game = make_symmetric([[0.0, -3.0], [-3.0, -3.0]])
+        lam = 1.0 + 1e-9
+        theta = 0.5 * theta_max(game, lam)
+        coeffs = extortion_coefficients(lam, -3.0, theta)
+        p = extortion_strategy(game, ExtortionParams(lam, theta)).complete()
+        for _ in range(10):
+            q = rand_strategy(rng, "beta", 2, 2)
+            check = verify_linear_relation(game, p, q, coeffs)
+            assert check.holds and check.residual > 1e-9
+        # the same scale does not let a pair that misses its relation pass
+        chicken, scaled = chicken_family(0.5), ZDCoefficients(1e8, -2e8, 0.0)
+        for _ in range(10):
+            p, q = rand_strategy(rng, "alpha", 2, 2), rand_strategy(rng, "beta", 2, 2)
+            assert not verify_linear_relation(chicken, p, q, scaled).holds
 
     def test_generic_strategy_fails(self, rng):
         game = chicken_family(0.5)
