@@ -6,17 +6,20 @@ A memory-one player can force a linear relation
 
 between the two long-run scores by choosing first-component probabilities
 whose unilateral column equals a*omega_alpha + b*omega_beta + c*1.  The key
-object is the Press-Dyson style determinant D(p, q, f): column operations
-turn P - I into a matrix whose column at state (alpha_1, beta_2) is alpha's
-unilateral column and whose column at (alpha_1, beta_1) is beta's; replacing
-the final column by an arbitrary vector f then gives
+object is the Press-Dyson determinant D(p, q, f) of P - I with its final
+column replaced by an arbitrary vector f.  Expanded along that column it is
+c . f, c the last row of Adj(P - I), a scaled copy of the stationary vector
+v, so
 
     D(p, q, f) / D(p, q, 1) = (v . f) / (v . 1)
 
-whenever the denominator is nonzero, because the column operations leave the
-cofactors of the final column (a scaled copy of the stationary vector v)
-untouched.  Setting the unilateral column equal to f collapses two columns
-of the determinant and forces v . f = 0, which is the score relation.
+whenever the denominator is nonzero.  Adding every column whose next
+alpha-move is alpha_1 into the column of state (alpha_1, beta_2), and every
+column whose next beta-move is beta_1 into that of (alpha_1, beta_1),
+changes neither D nor c and turns those columns into alpha's unilateral
+column p1 - delta_alpha and beta's q1 - delta_beta.  So setting alpha's
+equal to f collapses two columns of D and forces v . f = 0, the score
+relation; the evaluators below need no such operation.
 """
 
 from __future__ import annotations
@@ -123,36 +126,33 @@ def _feasible_scale(inward):
     return min(1.0 / step if step else math.inf, PROB_TOL / tie if tie else math.inf)
 
 
-def _zd_matrix(P):
-    """P - I of the chain ``P`` after the two unilateral column operations.
+def _scaled(f):
+    """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
 
-    Adds every column whose next alpha-move is alpha_1 into the column of
-    state (alpha_1, beta_2), and every column whose next beta-move is beta_1
-    into the column of (alpha_1, beta_1); both operations read the original
-    columns, which is exactly the sequential elementary-operation result.
-    Returns a new array: callers overwrite its final column with the vector
-    f of D(p, q, f).
+    Evaluating on f / s and multiplying by s keeps payoffs near the float
+    limit from overflowing inside LAPACK; dividing by 2^k is exact.
     """
-    M, m = P._shifted.copy(), P.dims[1]
-    M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
-    return M
+    size = float(np.abs(f).max())
+    if not math.isfinite(size):
+        raise ValueError("f must be finite")
+    s = math.ldexp(0.5, math.frexp(size)[1])
+    return f / s, s
 
 
 def press_dyson_determinant(p, q, f):
-    """Evaluate D(p, q, f).
+    """Evaluate D(p, q, f), the determinant of P - I with its final column f.
 
-    Only ratios of two D values are meaningful; the sign convention is fixed
-    by the column placement described in :func:`_zd_matrix`.
+    Expanding along that column, D(p, q, f) = ``cofactor_row(P).c @ f``.
+    Only ratios of two D values are meaningful.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (p.n * p.m,):
         raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
+    f, s = _scaled(f)
     _check_pair(p, q)
-    D = _zd_matrix(_chain(p, q))
+    D = _chain(p, q)._shifted.copy()
     D[:, -1] = f
-    return float(np.linalg.det(D))
+    return float(np.linalg.det(D)) * s
 
 
 def score_combination(game, p, q, coeffs):
@@ -175,13 +175,11 @@ def score_combination(game, p, q, coeffs):
     P = _chain(p, q)
     if P._corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {P._corank}")
-    f = coeffs.combine(*payoff_vectors(game))
-    if not np.isfinite(f).all():  # huge coefficients overflow
-        raise ValueError("f must be finite")
-    D = _zd_matrix(P)
+    f, s = _scaled(coeffs.combine(*payoff_vectors(game)))  # huge coefficients overflow
+    D = P._shifted.copy()
     D[:, -1] = 1.0
     try:
-        return float(np.linalg.solve(D, f)[-1])
+        return float(np.linalg.solve(D, f)[-1]) * s
     except np.linalg.LinAlgError:
         raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
 

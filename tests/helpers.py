@@ -158,6 +158,21 @@ def adjugate_last_row_minors(M):
     return c
 
 
+def press_dyson_matrix(P):
+    """P - I of the chain ``P`` after the paper's two unilateral column operations.
+
+    Adds every column whose next alpha-move is alpha_1 into the column of
+    state (alpha_1, beta_2), and every column whose next beta-move is beta_1
+    into the column of (alpha_1, beta_1); both operations read the original
+    columns, which is exactly the sequential elementary-operation result.
+    Reference for the Press-Dyson lemma: the two columns become the players'
+    unilateral columns, and neither D(p, q, f) nor its Cramer ratio moves.
+    """
+    M, m = P._shifted.copy(), P.dims[1]
+    M[:, 0], M[:, 1] = M[:, 0::m].sum(axis=1), M[:, 0:m].sum(axis=1)
+    return M
+
+
 def n2_admissible(game, lam):
     """Closed-form admissibility of a finite factor on a symmetric 2x2 game.
 

@@ -31,7 +31,6 @@ from zdgames import (
 )
 import zdgames.chain as chain_module
 import zdgames.model as model_module
-import zdgames.zd as zd_module
 
 from helpers import (
     adjugate_last_row_minors,
@@ -511,8 +510,9 @@ class TestChainMemo:
 
     @staticmethod
     def fresh_ratio(game, P, coeffs):
-        # score_combination's Cramer solve on P - I of an unshared chain
-        D = zd_module._zd_matrix(P)
+        # score_combination's Cramer solve on P - I of an unshared chain; it
+        # divides f by a power of two first, which the solve carries exactly
+        D = P._shifted.copy()
         D[:, -1] = 1.0
         return float(np.linalg.solve(D, coeffs.combine(*payoff_vectors(game)))[-1])
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from zdgames import (
     NoFeasiblePin,
     ZDCoefficients,
     chicken_family,
+    cofactor_row,
     complete_from_first_component,
     expected_scores,
     extortion_coefficients,
@@ -32,7 +34,7 @@ from zdgames import (
     verify_linear_relation,
     zd_feasibility_condition,
 )
-from zdgames.zd import _synthesis, _zd_matrix
+from zdgames.zd import _synthesis
 
 from helpers import (
     SCALES,
@@ -40,6 +42,7 @@ from helpers import (
     feasible_zd_instance,
     payoff_grid,
     pin_oracle,
+    press_dyson_matrix,
     rand_game,
     rand_mixed_pure_strategy,
     rand_strategy,
@@ -94,14 +97,35 @@ class TestDeterminant:
                 d_one = press_dyson_determinant(p, q, np.ones(4))
                 assert abs(press_dyson_determinant(p, q, f)) <= 1e-9 * max(1.0, abs(d_one))
 
-    def test_column_ops_preserve_singularity(self, rng):
-        # before the f replacement the matrix is column-equivalent to P - I
-        for n, m in [(2, 2), (3, 3)]:
+    def test_column_ops_give_unilateral_columns(self, rng):
+        # the paper's construction, kept as an oracle: the operated matrix is
+        # column-equivalent to P - I, its columns at (alpha_1, beta_2) and
+        # (alpha_1, beta_1) are the players' unilateral columns, and with the
+        # final column replaced neither D(p, q, f) nor the Cramer ratio moves
+        coeffs = ZDCoefficients(0.5, -1.0, 0.25)
+        for n, m in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (2, 5)] * 50:
+            game = rand_game(rng, n, m)
             p = rand_strategy(rng, "alpha", n, m)
             q = rand_strategy(rng, "beta", n, m)
-            hat = _zd_matrix(transition_matrix(p, q))
+            P = transition_matrix(p, q)
+            hat = press_dyson_matrix(P)
+            unilateral = p.rows[:, 0] - own_move_one_indicator("alpha", n, m)
+            assert np.abs(hat[:, 1] - unilateral).max() <= 1e-12
+            unilateral = q.rows[:, 0] - own_move_one_indicator("beta", n, m)
+            assert np.abs(hat[:, 0] - unilateral).max() <= 1e-12
             scale = max(1.0, float(np.prod(np.linalg.norm(hat, axis=0))))
             assert abs(np.linalg.det(hat)) <= 1e-9 * scale
+
+            f = rng.normal(size=n * m)
+            hat[:, -1] = f
+            # the size of D's Laplace expansion along f, free of cancellation
+            terms = float(np.abs(cofactor_row(P).c) @ np.abs(f))
+            assert abs(press_dyson_determinant(p, q, f) - np.linalg.det(hat)) <= 1e-12 * terms
+            hat[:, -1] = 1.0
+            target = coeffs.combine(*payoff_vectors(game))
+            ratio = float(np.linalg.solve(hat, target)[-1])
+            limit = 1e-12 * float(np.abs(target).max())
+            assert abs(score_combination(game, p, q, coeffs) - ratio) <= limit
 
     def test_single_move_side_rejected(self, rng):
         with pytest.raises(ValueError, match="at least 2"):
@@ -176,8 +200,8 @@ class TestScoreCombination:
             return [make_strategy(player, np.asarray(r, order=order), order="alpha-major")
                     for player, r in zip(("alpha", "beta"), rows)]
 
-        assert np.array_equal(_zd_matrix(transition_matrix(*pair("F"))),
-                              _zd_matrix(transition_matrix(*pair("C"))))
+        assert np.array_equal(transition_matrix(*pair("F")).entries,
+                              transition_matrix(*pair("C")).entries)
         coeffs = ZDCoefficients(0.5, -1.0, 0.25)
         assert score_combination(game, *pair("F"), coeffs) == score_combination(
             game, *pair("C"), coeffs
@@ -188,6 +212,32 @@ class TestScoreCombination:
         q = rand_strategy(rng, "beta", 2, 2)
         with pytest.raises(ValueError, match="finite"):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(np.nan, 0, 0))
+
+
+class TestFloatLimit:
+    """Both Press-Dyson evaluators hold for payoffs up to the largest float."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 8e307, sys.float_info.max])
+    def test_evaluators_at_payoff_scale(self, rng, scale):
+        for n in (2, 3, 4):
+            for _ in range(50):
+                unit = rand_game(rng, n, n)
+                size = max(np.abs(unit.A).max(), np.abs(unit.B).max())
+                A, B = unit.A / size, unit.B / size  # payoffs at most 1 in size
+                game = make_game(A * scale, B * scale)
+                p = rand_strategy(rng, "alpha", n, n)
+                q = rand_strategy(rng, "beta", n, n)
+                pi_alpha = expected_scores(game, p, q).pi_alpha
+                ratio = score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+                assert abs(ratio - pi_alpha) <= 1e-9 * scale
+                # D is linear in f: D(p, q, scale*w) = scale * (c . w)
+                c = cofactor_row(transition_matrix(p, q)).c
+                exact = scale * float(c @ payoff_vectors(make_game(A, B))[0])
+                det = press_dyson_determinant(p, q, payoff_vectors(game)[0])
+                if math.isinf(exact):  # |D| itself is past the largest float
+                    assert det == exact
+                else:
+                    assert abs(det - exact) <= 1e-9 * scale * float(np.abs(c).sum())
 
 
 class TestSynthesis:
