@@ -16,7 +16,7 @@ small theta > 0 exactly when E_1j <= 0 on the first row and E_ij >= 0 on
 the others; :func:`_half_lines` decides which fail.  Each bracket is
 affine in lam, so the admissible factors form an interval, and for an
 admissible lam the largest feasible theta is 1/max|g|, capped where a
-tie is nonzero.
+tie is nonzero: ``extortion_strategy`` is feasible at every theta <= theta_max.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_ratio, own_move_one_indicator, payoff_vectors
+from .model import _check_ratio, _in_box, own_move_one_indicator, payoff_vectors
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
@@ -77,7 +77,8 @@ class ConditionReport:
     a_nn, which rules out every lam > 1 on its own; a "first-row" violation
     at (1, 1) means lam < 1.  ``theta_max`` is the largest feasible scale
     theta for the factor (``math.inf`` when nothing binds), and 0.0 when the
-    factor is not admissible.
+    factor is not admissible: ``extortion_strategy`` is feasible at every
+    theta <= theta_max.
     """
 
     ok: bool
@@ -137,7 +138,8 @@ def check_extortion_factor(game, lam):
     ``lam`` fails a state of :func:`_half_lines` whose half-line, its end
     widened to end*(1 -+ 2*CONDITION_TOL), misses it.  theta_max is then
     :func:`zdgames.zd._feasible_scale` of sigma*g, so a bracket left with the
-    wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most.
+    wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most and
+    ``extortion_strategy`` is feasible at every theta <= theta_max.
     """
     _check_factor(lam)
     A = _require_normalized(_require_symmetric(game))
@@ -186,7 +188,9 @@ def theta_max(game, lam):
     closed form min over states of 1/(-g) on the first row (where g < 0)
     and 1/g elsewhere (where g > 0): 1/((lam-1)*(a_11 - a_nn)) from the
     (1,1) entry up to rounding, 1/(-E_1j) and 1/E_ij from the brackets, and
-    PROB_TOL/|g| from a tie.  Returns ``math.inf`` when nothing binds.
+    PROB_TOL/|g| from a tie, rounded down so that ``extortion_strategy`` is
+    feasible at every theta <= theta_max.  Returns ``math.inf`` when nothing
+    binds.
 
     Raises
     ------
@@ -212,6 +216,8 @@ def chicken_extortion(r, lam, theta):
          1 - theta*((lam + 1)*r + lam - 1),
          theta*max(1 + r - lam*(1 - r), 0),
          0)
+
+    clipped to [0, 1]; ValueError when an entry fails the box test, PROB_TOL wide.
     """
     _check_ratio(r)
     _check_extortion(lam, theta)
@@ -221,5 +227,8 @@ def chicken_extortion(r, lam, theta):
             f"at r={r}"
         )
     third = max(1.0 + r - lam * (1.0 - r), 0.0)  # a tie in the band above the maximum
-    return np.array([1.0 - theta * (lam - 1.0),
-                     1.0 - theta * ((lam + 1.0) * r + lam - 1.0), theta * third, 0.0])
+    p1 = np.array([1.0 - theta * (lam - 1.0),
+                   1.0 - theta * ((lam + 1.0) * r + lam - 1.0), theta * third, 0.0])
+    if not _in_box(p1).all():
+        raise ValueError(f"scale {theta} puts an entry outside [0, 1]: {p1.tolist()}")
+    return np.clip(p1, 0.0, 1.0)

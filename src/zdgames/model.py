@@ -29,6 +29,11 @@ FILL_RULES = ("uniform", "all-to-last", "all-to-second")
 _PLAYERS = ("alpha", "beta")
 
 
+def _in_box(x):
+    """The box test: which entries lie in [0, 1] up to PROB_TOL (NaN does not)."""
+    return (x >= -PROB_TOL) & (x <= 1.0 + PROB_TOL)
+
+
 def _check_player(player):
     if player not in _PLAYERS:
         raise ValueError(f"player must be 'alpha' or 'beta', got {player!r}")
@@ -247,7 +252,7 @@ def complete_from_first_component(player, p1, n, m, fill_rule="uniform"):
     p1 = np.asarray(p1, dtype=float)
     if p1.shape != (n * m,):
         raise ValueError(f"expected {n * m} first components, got shape {p1.shape}")
-    if not ((p1 >= -PROB_TOL) & (p1 <= 1.0 + PROB_TOL)).all():  # NaN fails it too
+    if not _in_box(p1).all():
         bad = int(np.argmax(np.clip(-p1, 0, None) + np.clip(p1 - 1.0, 0, None)))
         raise ValueError(
             f"first component at state {bad} is {float(p1[bad])!r}, outside [0, 1]"

@@ -36,12 +36,10 @@ from .model import (
     StateIndex,
     _completed,
     _frozen,
+    _in_box,
     own_move_one_indicator,
     payoff_vectors,
 )
-
-# the pin's sign test: |(1 - 2*delta)*g| <= SCALE_RTOL * max|g| counts as zero
-SCALE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def _synthesis(player, game, g, t=1.0):
     n, m = game.n, game.m
     with np.errstate(over="ignore"):  # an overflowing entry is reported as a violation
         raw = own_move_one_indicator(player, n, m) + t * g
-    outside = ~((raw >= -PROB_TOL) & (raw <= 1.0 + PROB_TOL))  # NaN fails it too
+    outside = ~_in_box(raw)
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
         for s in np.flatnonzero(outside).tolist()
@@ -115,15 +113,19 @@ def _synthesis(player, game, g, t=1.0):
 
 
 def _feasible_scale(inward):
-    """Largest t >= 0 keeping delta + t*g inside [0, 1] up to PROB_TOL.
+    """Largest t >= 0 whose delta + t*g passes the box test, :func:`model._in_box`.
 
     ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta
     into [0, 1] as t grows: such an entry binds t at 1/inward.  A negative entry
-    (a tie) moves out of [0, 1] and binds t at PROB_TOL/|inward|.  Returns
-    ``math.inf`` when nothing binds.
+    (a tie) moves out of [0, 1] and binds t at PROB_TOL/|inward|, rounded down
+    so that t*|inward| stays within PROB_TOL.  Every smaller t >= 0 passes too
+    when g is finite.  Returns ``math.inf`` when nothing binds.
     """
     step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
-    return min(1.0 / step if step else math.inf, PROB_TOL / tie if tie else math.inf)
+    cap = PROB_TOL / tie if tie else math.inf
+    if cap * tie > PROB_TOL:
+        cap = math.nextafter(cap, 0.0)
+    return min(1.0 / step if step else math.inf, cap)
 
 
 def _scaled(f):
@@ -204,37 +206,34 @@ def pin_opponent_score(game, pinner, target):
     Alpha pins beta with (0, w, -w*target) and beta pins alpha with
     (w, 0, -w*target), so the first components are delta + w*g with
     g = omega_opponent - target.  w > 0 needs (1 - 2*delta)*g >= 0 in every
-    state and w < 0 needs it <= 0, each up to SCALE_RTOL * max|g|; |w| is the
+    state and w < 0 needs it <= 0, each up to PROB_TOL * max|g|; |w| is the
     largest power of two up to min(16, :func:`_feasible_scale`), which keeps
-    c = -w*target exact.
+    c = -w*target exact and the synthesis feasible.
 
     Raises
     ------
     NoFeasiblePin
         When (1 - 2*delta)*g takes both signs, i.e. the target lies outside
-        the window the pinner can enforce, or when rounding leaves the one
-        synthesis outside [0, 1].
+        the window the pinner can enforce, or when g overflows.
     """
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
     wa, wb = payoff_vectors(game)
-    with np.errstate(over="ignore"):  # an infinite g pins nothing: NoFeasiblePin below
+    with np.errstate(over="ignore"):  # an infinite g pins nothing: t_max is 0 below
         g = (wb if pinner == "alpha" else wa) - target
     inward = (1.0 - 2.0 * delta) * g
-    tol = SCALE_RTOL * np.abs(g).max(initial=0.0)
+    tol = PROB_TOL * np.abs(g).max(initial=0.0)
     sign = 1.0 if (inward >= -tol).all() else -1.0
-    if (sign * inward >= -tol).all():
-        t_max = min(16.0, _feasible_scale(sign * inward))
-        weight = sign * math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
-        result = _synthesis(pinner, game, g, weight)
-        if result.feasible:
-            a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
-            return result, ZDCoefficients(a, b, -weight * target)
-    raise NoFeasiblePin(
-        f"no feasible pin of the opponent's score at {target!r}: "
-        "it lies outside the window the pinner can enforce"
-    )
+    t_max = min(16.0, _feasible_scale(sign * inward))
+    if not (sign * inward >= -tol).all() or t_max == 0.0:
+        raise NoFeasiblePin(
+            f"no feasible pin of the opponent's score at {target!r}: "
+            "it lies outside the window the pinner can enforce"
+        )
+    weight = sign * math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
+    a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
+    return _synthesis(pinner, game, g, weight), ZDCoefficients(a, b, -weight * target)
 
 
 def _check_factor(lam):

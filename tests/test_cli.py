@@ -175,6 +175,20 @@ class TestZd:
         assert "coefficients must be finite" in capsys.readouterr().err
 
 
+# games whose theta_max a tie E_21 binds, where (PROB_TOL/|E_21|)*|E_21|
+# rounds above PROB_TOL; at lambda = 1 the first one's strategy repeats its
+# own move, so no opponent gives it a unique chain for scan's check
+TIE_GAMES = [([[0.0023912007403269677, 0.0007970669134425616],
+               [0.0007970669134423226, -0.0023912007403272067]], "1"),
+             ([[4.909, 3.878], [4.61, 2.035]], "1.397178513295646")]
+
+
+def tie_game(tmp_path, A):
+    path = tmp_path / "tie.json"
+    save_game(make_symmetric(A), path)
+    return str(path)
+
+
 class TestExtort:
     def test_bounds(self, chicken_path, capsys):
         assert main(["extort", chicken_path, "--bounds"]) == 0
@@ -196,6 +210,14 @@ class TestExtort:
     def test_theta_max(self, chicken_path, capsys):
         assert main(["extort", chicken_path, "--lambda", "2", "--theta-max"]) == 0
         assert "theta_max = 0.4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("A, lam", TIE_GAMES, ids=["repeat", "interior"])
+    def test_theta_max_is_feasible(self, tmp_path, capsys, A, lam):
+        path = tie_game(tmp_path, A)
+        assert main(["extort", path, "--lambda", lam, "--theta-max"]) == 0
+        limit = capsys.readouterr().out.removeprefix("theta_max = ").strip()
+        assert main(["extort", path, "--lambda", lam, "--theta", limit]) == 0
+        assert f"theta_max at this factor: {limit}" in capsys.readouterr().out
 
     def test_strategy_output(self, tmp_path, chicken_path, capsys):
         out = str(tmp_path / "ext.json")
@@ -392,6 +414,18 @@ class TestScan:
         assert all(float(row["theta_max"]) == 0.4 for row in rows)
         for row in rows[:2]:
             assert float(row["max_residual"]) < 1e-9
+
+    def test_theta_max_is_feasible(self, tmp_path, capsys):
+        A, lam = TIE_GAMES[1]
+        path = tie_game(tmp_path, A)
+        assert main(["extort", path, "--lambda", lam, "--theta-max"]) == 0
+        limit = capsys.readouterr().out.removeprefix("theta_max = ").strip()
+        out = str(tmp_path / "scan.csv")
+        assert main(["scan", path, "--lambda-grid", lam, "--theta-grid", limit,
+                     "--opponents", "3", "--out", out]) == 0
+        (row,) = read_rows(out)
+        assert (row["theta_max"], row["feasible"]) == (limit, "True")
+        assert float(row["max_residual"]) < 1e-9
 
     def test_overflowing_factor_exits_3(self, tmp_path, chicken_path, capsys):
         out = tmp_path / "scan.csv"

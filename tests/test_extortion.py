@@ -278,8 +278,9 @@ def assert_one_rule(game, factors):
     The interval is [lambda_min*(1 - 2*CONDITION_TOL), lambda_max*(1 +
     2*CONDITION_TOL)], empty unless ``feasible``.  Each factor tried is one
     of ``factors`` or a finite end times 1 - 1e-9, 1 or 1 + 1e-9.  Every
-    admitted factor has theta_max > 0, and at half of it (of 1/max|A| when
-    theta_max is inf) a feasible strategy that enforces the relation.
+    admitted factor has theta_max > 0, a feasible strategy at theta_max itself
+    when it is finite, and at half of it (of 1/max|A| when theta_max is inf) a
+    feasible strategy that enforces the relation.
     """
     bounds = extortion_factor_bounds(game)
     low = bounds.lambda_min * (1.0 - 2.0 * CONDITION_TOL)
@@ -293,6 +294,8 @@ def assert_one_rule(game, factors):
         if report.ok:
             assert report.theta_max > 0.0, x
             limit = report.theta_max
+            if math.isfinite(limit):
+                assert extortion_strategy(game, ExtortionParams(x, limit)).feasible, (x, limit)
             theta = 0.5 * (limit if math.isfinite(limit) else 1.0 / biggest if biggest else 1.0)
             result = extortion_strategy(game, ExtortionParams(x, theta))
             assert result.feasible, (x, theta)
@@ -348,6 +351,8 @@ def wide_games(draw):
 
 @given(wide_games(), SCALES)
 @example(np.array([[1.0, 0.0], [-1e-13, 0.0]]), 1.0)  # ties alone bound theta near 1
+@example(np.array([[0.0023912007403269677, 0.0007970669134425616],
+                   [0.0007970669134423226, -0.0023912007403272067]]), 1.0)  # tie at theta_max
 def test_one_rule_on_wide_magnitudes(A, s):
     assert_one_rule(make_symmetric(s * A), [1.0, 1.5, 2.0, 3.0, 7.0])
 
@@ -440,6 +445,15 @@ class TestChickenExtortion:
             with pytest.raises(ValueError, match="ratio must be finite and positive"):
                 build(r)
 
+    def test_rounding_at_theta_max_is_clipped(self):
+        r, lam = 0.15000000000000002, 1.2941176470588234
+        limit = theta_max(chicken_family(r), lam)
+        assert limit == 1.5668202764976968
+        vec = chicken_extortion(r, lam, limit)  # the second entry rounds to -6.7e-16
+        assert vec[1] == 0.0 and ((0.0 <= vec) & (vec <= 1.0)).all()
+        built = extortion_strategy(chicken_family(r), ExtortionParams(lam, limit))
+        assert built.feasible and np.allclose(vec, built.p1, rtol=5e-16, atol=1e-15)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             chicken_extortion(0.0, 2.0, 0.1)
@@ -447,6 +461,8 @@ class TestChickenExtortion:
             chicken_extortion(0.5, 0.5, 0.1)
         with pytest.raises(ValueError):
             chicken_extortion(0.5, 2.0, 0.0)
+        with pytest.raises(ValueError, match="outside"):  # entries (-9, -24, 5, 0)
+            chicken_extortion(0.5, 2.0, 10.0)
 
 
 class TestN2Conditions:
