@@ -6,6 +6,8 @@ between the long-run scores (score pinning, extortion), and check
 everything against exact stationary solves and seeded simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chain import (
     CofactorVector,
     FeasibilityReport,
@@ -75,62 +77,8 @@ from .zd import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BimatrixGame",
-    "CofactorVector",
-    "ComparisonReport",
-    "ConditionReport",
-    "DegenerateDenominator",
-    "DegenerateRatio",
-    "ExtortionEstimate",
-    "ExtortionParams",
-    "FactorBounds",
-    "FeasibilityReport",
-    "FILL_RULES",
-    "InaccurateStationary",
-    "MemoryOneStrategy",
-    "NoFeasiblePin",
-    "NonUniqueStationary",
-    "RelationCheck",
-    "SchemaError",
-    "ScorePair",
-    "SimulationConfig",
-    "SimulationReport",
-    "StateIndex",
-    "StationaryDistribution",
-    "SynthesisResult",
-    "TransitionMatrix",
-    "ZDCoefficients",
-    "ZDGamesError",
-    "check_extortion_factor",
-    "chicken_extortion",
-    "chicken_family",
-    "cofactor_row",
-    "compare_to_stationary",
-    "complete_from_first_component",
-    "expected_scores",
-    "extortion_coefficients",
-    "extortion_factor_bounds",
-    "extortion_strategy",
-    "load_game",
-    "load_strategy",
-    "make_game",
-    "make_strategy",
-    "make_symmetric",
-    "own_move_one_indicator",
-    "payoff_vectors",
-    "pin_opponent_score",
-    "play",
-    "press_dyson_determinant",
-    "save_game",
-    "save_strategy",
-    "score_combination",
-    "stationary",
-    "synthesize_zd_alpha",
-    "synthesize_zd_beta",
-    "theta_max",
-    "transition_matrix",
-    "verify_extortion_empirically",
-    "verify_linear_relation",
-    "zd_feasibility_condition",
-]
+# the public names are the ones imported above: not private and not submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -20,6 +20,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -297,7 +298,7 @@ def cmd_simulate(game, args):
         print(f"exact stationary unavailable ({kind}); skipping comparison")
 
     if args.lam is not None:
-        lambda_hat = _ratio(report, args.delta)
+        lambda_hat = _ratio(report, game)
         print(f"lambda_hat = {lambda_hat!r} (configured lambda {args.lam!r})")
 
     if args.csv:
@@ -320,8 +321,8 @@ def cmd_scan(game, args):
     if args.theta_grid is not None and not all(0.0 < t < math.inf for t in args.theta_grid):
         raise _UsageError("theta grid values must be positive and finite")
 
-    opponents = _random_opponents("beta", game, args.opponents, args.seed)
-    nn = float(game.A[-1, -1])
+    if args.theta_grid is not None:
+        opponents = _random_opponents("beta", game, args.opponents, args.seed)
 
     rows = []
     for lam in args.lambda_grid:
@@ -338,11 +339,13 @@ def cmd_scan(game, args):
                 feasible = result.feasible
                 if feasible:
                     strategy = result.complete("uniform")
-                    coeffs = extortion_coefficients(lam, nn, theta)
-                    residual = max(
-                        verify_linear_relation(game, strategy, opp, coeffs).residual
-                        for opp in opponents
-                    )
+                    coeffs = extortion_coefficients(lam, float(game.A[-1, -1]), theta)
+                    # as in simulate, an unavailable quantity is an empty cell
+                    with suppress(NonUniqueStationary, InaccurateStationary):
+                        residual = max(
+                            verify_linear_relation(game, strategy, opp, coeffs).residual
+                            for opp in opponents
+                        )
             rows.append([lam, theta, report.ok, limit_text, feasible, residual])
 
     header = ["lambda", "theta", "lambda_ok", "theta_max", "feasible", "max_residual"]
@@ -402,7 +405,6 @@ def _build_parser():
     simulate.add_argument("--burn-in", dest="burn_in",
                           type=_int_at_least(0, "a non-negative count"), default=None)
     simulate.add_argument("--lambda", dest="lam", type=float, default=None)
-    simulate.add_argument("--delta", type=float, default=0.0)
     simulate.add_argument("--csv", help="write the report row to this CSV file")
     simulate.set_defaults(run=cmd_simulate)
 

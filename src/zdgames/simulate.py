@@ -144,10 +144,9 @@ def play(game, p, q, config):
     return SimulationReport(scores.pi_alpha, scores.pi_beta, _frozen(freq), counted)
 
 
-def _ratio(report, delta, where=""):
-    """Empirical (pi_alpha - delta) / (pi_beta - delta), checked against RATIO_TOL."""
-    if not np.isfinite(delta):
-        raise ValueError(f"offset delta must be finite, got {delta}")
+def _ratio(report, game, where=""):
+    """Empirical (pi_alpha - delta) / (pi_beta - delta) about delta = a_nn."""
+    delta = float(game.A[-1, -1])
     denominator = report.empirical_pi_beta - delta
     if abs(denominator) < RATIO_TOL:
         raise DegenerateRatio(
@@ -172,12 +171,12 @@ def compare_to_stationary(game, p, q, config):
     return ComparisonReport(gap, _tv_distance(report, v))
 
 
-def verify_extortion_empirically(game, p_extort, opponents, config, delta=0.0):
+def verify_extortion_empirically(game, p_extort, opponents, config):
     """Empirical extortion ratios of one strategy against many opponents.
 
     Opponent k runs with seed ``config.seed + k`` (recorded in the
     estimate) so runs are independent yet reproducible.  The ratio is
-    (empirical_pi_alpha - delta) / (empirical_pi_beta - delta).
+    (empirical_pi_alpha - a_nn) / (empirical_pi_beta - a_nn), a_nn = ``game.A[-1, -1]``.
 
     Raises
     ------
@@ -194,7 +193,7 @@ def verify_extortion_empirically(game, p_extort, opponents, config, delta=0.0):
             ExtortionEstimate(
                 opponent=k,
                 seed=seed,
-                lambda_hat=_ratio(report, delta, where=f"opponent {k}: "),
+                lambda_hat=_ratio(report, game, where=f"opponent {k}: "),
                 empirical_pi_alpha=report.empirical_pi_alpha,
                 empirical_pi_beta=report.empirical_pi_beta,
             )

@@ -329,6 +329,18 @@ class TestSimulate:
         line = [l for l in out.splitlines() if l.startswith("lambda_hat")][0]
         assert 1.9 < float(line.split()[2]) < 2.1
 
+    def test_lambda_hat_is_taken_about_a_nn(self, tmp_path, pd_path, capsys):
+        # PD's offset a_nn is 1; about 0 this run reads 1.43
+        ext = str(tmp_path / "ext.json")
+        main(["extort", pd_path, "--lambda", "2", "--theta", "0.05", "--out", ext])
+        _, q_path = uniform_pair(tmp_path)
+        capsys.readouterr()
+        code = main(["simulate", pd_path, ext, q_path, "--rounds", "200000", "--lambda", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        line = [l for l in out.splitlines() if l.startswith("lambda_hat")][0]
+        assert abs(float(line.split()[2]) - 2.0) < 0.1
+
     def test_non_unique_skips_comparison(self, tmp_path, chicken_path, capsys):
         p_path, q_path = repeat_pair(tmp_path)
         code = main(["simulate", chicken_path, p_path, q_path, "--rounds", "1000"])
@@ -356,10 +368,8 @@ class TestSimulate:
         assert captured.err == ""
 
     @pytest.mark.parametrize("flags, message", [
-        (["--lambda", "2", "--delta", "nan"], "offset delta must be finite, got nan"),
-        (["--lambda", "2", "--delta", "inf"], "offset delta must be finite, got inf"),
         (["--lambda", "inf"], "extortion factor must be finite, got inf"),
-    ], ids=["delta-nan", "delta-inf", "lambda-inf"])
+    ], ids=["lambda-inf"])
     def test_non_finite_ratio_parameter_exits_3(self, tmp_path, chicken_path, capsys,
                                                 flags, message):
         p_path, q_path = uniform_pair(tmp_path)
@@ -427,6 +437,18 @@ class TestScan:
         assert (row["theta_max"], row["feasible"]) == (limit, "True")
         assert float(row["max_residual"]) < 1e-9
 
+    def test_non_unique_opponent_chain_leaves_residual_empty(self, tmp_path):
+        # the strategy at this point is [1, 1, 0, 0]: every opponent's chain has two
+        # closed classes, so the residual is unavailable, as simulate's tv cell is
+        path = tmp_path / "game.json"
+        save_game(make_symmetric([[0.0023912007403269677, 0.0007970669134425616],
+                                  [0.0007970669134423226, -0.0023912007403272067]]), path)
+        out = str(tmp_path / "scan.csv")
+        assert main(["scan", str(path), "--lambda-grid", "1", "--theta-grid", "1000",
+                     "--out", out]) == 0
+        (row,) = read_rows(out)
+        assert (row["feasible"], row["max_residual"]) == ("True", "")
+
     def test_overflowing_factor_exits_3(self, tmp_path, chicken_path, capsys):
         out = tmp_path / "scan.csv"
         with warnings.catch_warnings(record=True) as caught:
@@ -483,6 +505,22 @@ def test_import_leaves_numpy_random_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_scan_without_theta_grid_leaves_numpy_random_unloaded(tmp_path, chicken_path):
+    # opponents are drawn only to check strategies, which a factor-only scan never builds
+    src = str(pathlib.Path(zdgames.__file__).parents[1])
+    argv = ["scan", chicken_path, "--lambda-grid", "1,2", "--out", str(tmp_path / "scan.csv")]
+    script = (
+        "import sys; from zdgames.cli import main; "
+        f"code = main({argv!r}); print(code, 'numpy.random' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestParser:

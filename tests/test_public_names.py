@@ -4,6 +4,8 @@ Adding or removing a public name is an edit to ``PUBLIC_NAMES`` below, so
 it shows in review and must be recorded in CHANGES.md.
 """
 
+import inspect
+
 import zdgames
 
 PUBLIC_NAMES = [
@@ -78,3 +80,13 @@ def test_no_name_appears_twice():
 def test_every_name_resolves():
     missing = [name for name in zdgames.__all__ if not hasattr(zdgames, name)]
     assert not missing
+
+
+def test_every_class_and_function_is_defined_in_zdgames():
+    # __all__ is derived from the package's imports, so a foreign import would be public
+    foreign = [
+        name for name in zdgames.__all__
+        if inspect.isclass(value := getattr(zdgames, name)) or inspect.isroutine(value)
+        if not value.__module__.startswith("zdgames.")
+    ]
+    assert not foreign
