@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InaccurateStationary, NonUniqueStationary
 from .model import PROB_TOL, _frozen, payoff_vectors
@@ -67,7 +68,7 @@ class TransitionMatrix:
         b = np.zeros(len(A))
         b[-1] = 1.0
         try:
-            v = _accepted(np.linalg.solve(A, b), self)
+            v = _accepted(_lapack_solve(A, b), self)
         except (np.linalg.LinAlgError, InaccurateStationary):
             v = _accepted(_null_left(self), self)
         return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
@@ -81,12 +82,36 @@ def _factor(P, entries):
     """
     shifted = entries.copy()  # C-ordered, so the strided view below is the diagonal
     shifted.ravel()[:: len(shifted) + 1] -= 1.0
-    svd = tuple(map(_frozen, np.linalg.svd(shifted)))
+    svd = tuple(map(_frozen, _lapack_svd(shifted)))
     # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
     corank = int(np.count_nonzero(svd[1] <= CORANK_RTOL * max(svd[1][0], 1.0)))
     for name, value in (("entries", _frozen(entries)), ("_shifted", _frozen(shifted)),
                         ("_svd", svd), ("_corank", corank)):
         object.__setattr__(P, name, value)
+
+
+def _linalg_errstate(message):
+    """numpy.linalg's error state: LAPACK's failure flag raises LinAlgError(message)."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _lapack_svd(a):
+    """``np.linalg.svd(a)`` of a float matrix: the gufunc it calls, in its error state."""
+    with _linalg_errstate("SVD did not converge"):
+        return _umath_linalg.svd_f(a, signature="d->ddd")
+
+
+def _lapack_solve(a, b):
+    """``np.linalg.solve(a, b)`` for a vector ``b``, likewise; numpy's wrapper costs more."""
+    with _linalg_errstate("Singular matrix"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+def _lapack_det(a):
+    """``np.linalg.det(a)`` likewise, which sets no error state."""
+    return _umath_linalg.det(a, signature="d->d")
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,14 +145,14 @@ def play(game, p, q, config):
 
 
 def _ratio(report, game, where=""):
-    """Empirical (pi_alpha - delta) / (pi_beta - delta) about delta = a_nn."""
-    delta = float(game.A[-1, -1])
-    denominator = report.empirical_pi_beta - delta
+    """Empirical (pi_alpha - a_nn) / (pi_beta - a_nn), a_nn = ``game.A[-1, -1]``."""
+    a_nn = float(game.A[-1, -1])
+    denominator = report.empirical_pi_beta - a_nn
     if abs(denominator) < RATIO_TOL:
         raise DegenerateRatio(
-            f"{where}empirical pi_beta - delta = {denominator!r}; ratio undefined"
+            f"{where}empirical pi_beta - a_nn = {denominator!r}; ratio undefined"
         )
-    return (report.empirical_pi_alpha - delta) / denominator
+    return (report.empirical_pi_alpha - a_nn) / denominator
 
 
 def _tv_distance(report, v):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _chain, _check_pair, expected_scores
+from .chain import _chain, _check_pair, _lapack_det, _lapack_solve, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -154,7 +154,7 @@ def press_dyson_determinant(p, q, f):
     _check_pair(p, q)
     D = _chain(p, q)._shifted.copy()
     D[:, -1] = f
-    return float(np.linalg.det(D)) * s
+    return float(_lapack_det(D)) * s
 
 
 def score_combination(game, p, q, coeffs):
@@ -181,7 +181,7 @@ def score_combination(game, p, q, coeffs):
     D = P._shifted.copy()
     D[:, -1] = 1.0
     try:
-        return float(np.linalg.solve(D, f)[-1]) * s
+        return float(_lapack_solve(D, f)[-1]) * s
     except np.linalg.LinAlgError:
         raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
 

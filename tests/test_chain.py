@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import warnings
 import weakref
 
 import numpy as np
@@ -31,6 +34,7 @@ from zdgames import (
 )
 import zdgames.chain as chain_module
 import zdgames.model as model_module
+import zdgames.zd as zd_module
 
 from helpers import (
     adjugate_last_row_minors,
@@ -186,7 +190,7 @@ class TestPairChainTrustsCheckedStrategies:
         # make_strategy's checks
         game = rand_game(rng, 3, 2)
         p, q = rand_strategy(rng, "alpha", 3, 2), rand_strategy(rng, "beta", 3, 2)
-        calls = dict.fromkeys(["__post_init__", "solve", "svd", "make_strategy"], 0)
+        calls = dict.fromkeys(["__post_init__", "_lapack_solve", "_lapack_svd", "make_strategy"], 0)
 
         def counting(owner, name):
             real = getattr(owner, name)
@@ -197,8 +201,10 @@ class TestPairChainTrustsCheckedStrategies:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in [(TransitionMatrix, "__post_init__"), (np.linalg, "solve"),
-                            (np.linalg, "svd"), (model_module, "make_strategy")]:
+        # zd calls the chain's solve under its own import of the name
+        for owner, name in [(TransitionMatrix, "__post_init__"), (chain_module, "_lapack_solve"),
+                            (zd_module, "_lapack_solve"), (chain_module, "_lapack_svd"),
+                            (model_module, "make_strategy")]:
             counting(owner, name)
         stationary(transition_matrix(p, q))
         expected_scores(game, p, q)
@@ -209,7 +215,8 @@ class TestPairChainTrustsCheckedStrategies:
         result, _ = pin_opponent_score(chicken_family(0.5), "alpha", 0.6)
         for fill_rule in FILL_RULES:
             result.complete(fill_rule)
-        assert calls == {"__post_init__": 0, "solve": 2, "svd": 1, "make_strategy": 0}
+        assert calls == {"__post_init__": 0, "_lapack_solve": 2, "_lapack_svd": 1,
+                         "make_strategy": 0}
 
 
 class TestStationary:
@@ -321,6 +328,91 @@ class TestCofactorRow:
         assert np.allclose(c / c.sum(), stationary(P).v, rtol=0, atol=1e-8)
 
 
+def linalg_outcome(f, *args):
+    """``f(*args)`` as (its arrays or LinAlgError text, the texts of its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = f(*args)
+        except np.linalg.LinAlgError as exc:
+            result = str(exc)
+    arrays = result if isinstance(result, (str, tuple)) else (result,)
+    return arrays, [str(w.message) for w in caught]
+
+
+def same_outcome(ours, theirs):
+    (a, warned_a), (b, warned_b) = ours, theirs
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b and warned_a == warned_b
+    return (len(a) == len(b) and warned_a == warned_b
+            and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b)))
+
+
+class TestLapackKernels:
+    """The chain's LAPACK helpers give numpy.linalg's bits, errors and warnings.
+
+    A numpy that renames or re-signs a gufunc fails here, not in a verdict.
+    """
+
+    def kernel_pairs(self, a, b):
+        return [(chain_module._lapack_svd, np.linalg.svd, (a,)),
+                (chain_module._lapack_solve, np.linalg.solve, (a, b)),
+                (chain_module._lapack_det, np.linalg.det, (a,))]
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bits_match_numpy_linalg(self, rng, n):
+        a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        for matrix in (a, a.T):  # C-ordered, then Fortran-ordered
+            for ours, theirs, args in self.kernel_pairs(matrix, b):
+                assert same_outcome(linalg_outcome(ours, *args), linalg_outcome(theirs, *args))
+
+    @pytest.mark.parametrize("kind", ["singular", "nan"])
+    def test_errors_match_numpy_linalg(self, kind):
+        a = np.ones((3, 3)) if kind == "singular" else np.full((3, 3), np.nan)
+        expected = "Singular matrix" if kind == "singular" else "SVD did not converge"
+        outcomes = [(linalg_outcome(ours, *args), linalg_outcome(theirs, *args))
+                    for ours, theirs, args in self.kernel_pairs(a, np.ones(3))]
+        assert all(same_outcome(*pair) for pair in outcomes)
+        assert expected in [ours[0] for ours, _ in outcomes]
+
+
+LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det")
+
+
+def lapack_entries(path):
+    """``file:line: name`` of each numpy.linalg route in ``path`` but the chain's kernels.
+
+    A route is a call to a numpy.linalg function other than LinAlgError or
+    to a gufunc of ``_umath_linalg``, or an import of such a function.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kernels = [node for node in tree.body if path.name == "chain.py"
+               and isinstance(node, ast.FunctionDef) and node.name in LAPACK_KERNELS]
+    allowed = {"LinAlgError", "_umath_linalg"}
+    entries = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names = [alias.name for alias in node.names if alias.name not in allowed]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            routed = name.startswith(("np.linalg.", "numpy.linalg.", "_umath_linalg."))
+            names = [name] if routed and name.rsplit(".", 1)[-1] != "LinAlgError" else []
+        else:
+            continue
+        if not any(k.lineno <= node.lineno <= k.end_lineno for k in kernels):
+            entries += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    return entries
+
+
+def test_lapack_kernels_are_the_only_entry():
+    # every factorization goes through the chain's three kernels, whose bits
+    # TestLapackKernels pins to numpy.linalg's
+    package = pathlib.Path(chain_module.__file__).parent
+    assert [e for path in sorted(package.glob("*.py")) for e in lapack_entries(path)] == []
+
+
 class TestStationaryFallback:
     """The SVD null vector stands in, computed once, when the LU solve fails."""
 
@@ -335,7 +427,7 @@ class TestStationaryFallback:
             return null_left(M)
 
         monkeypatch.setattr(chain_module, "_null_left", counted)
-        monkeypatch.setattr(np.linalg, "solve", fake_solve)
+        monkeypatch.setattr(chain_module, "_lapack_solve", fake_solve)
         # P keeps its solved v, so solve again on a fresh chain of the same entries
         v = stationary(TransitionMatrix(P.dims, P.entries)).v
         assert len(calls) == 1
@@ -405,13 +497,13 @@ class TestFeasibilityCondition:
     def test_verdicts_read_one_corank(self, rng, monkeypatch):
         # the chain's one SVD reports a second zero singular value: every
         # verdict reads the corank it gives, so all three flip together
-        real_svd = np.linalg.svd
+        real_svd = chain_module._lapack_svd
 
-        def svd(a, *args, **kwargs):
-            u, sv, vt = real_svd(a, *args, **kwargs)
+        def svd(a):
+            u, sv, vt = real_svd(a)
             return u, np.concatenate([sv[:-2], [0.0, 0.0]]), vt
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(chain_module, "_lapack_svd", svd)
         game = rand_game(rng, 2, 3)
         p, q = rand_strategy(rng, "alpha", 2, 3), rand_strategy(rng, "beta", 2, 3)
         P = transition_matrix(p, q)
@@ -422,14 +514,14 @@ class TestFeasibilityCondition:
             score_combination(game, p, q, ZDCoefficients(1.0, -1.0, 0.0))
 
     def test_one_svd_per_chain(self, rng, monkeypatch):
-        real_svd = np.linalg.svd
+        real_svd = chain_module._lapack_svd
         calls = []
 
-        def svd(*args, **kwargs):
-            calls.append(args)
-            return real_svd(*args, **kwargs)
+        def svd(a):
+            calls.append(a)
+            return real_svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(chain_module, "_lapack_svd", svd)
         game = rand_game(rng, 3, 2)
         p, q = rand_strategy(rng, "alpha", 3, 2), rand_strategy(rng, "beta", 3, 2)
         stationary(transition_matrix(p, q))

@@ -4,7 +4,10 @@ Instances are rational: integer payoffs 0..5 and strategy rows whose
 entries are multiples of 1/8, so P is exact in floating point too.  Rows
 may hold zeros, so some chains have several closed classes.
 
-- D(p, q, f) / D(p, q, 1) = v . f holds exactly, in ``Fraction``.
+- D(p, q, f) / D(p, q, 1) = v . f holds exactly, in ``Fraction``, and
+  D(p, q, 1) is nonzero of sign (-1)^(N-1) (the Markov chain tree theorem).
+- ``cofactor_row``'s c lies within FLOAT_TOL * |D(p, q, 1)| of D(p, q, 1) v,
+  since c . f = D(p, q, f).
 - ``stationary`` and ``score_combination`` (scaled by max|f|) lie within
   FLOAT_TOL of the exact values.
 """
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import exact
 from zdgames import (
     ZDCoefficients,
+    cofactor_row,
     make_game,
     make_strategy,
     payoff_vectors,
@@ -29,7 +33,8 @@ from zdgames import (
 )
 
 # fixed before the first run; on the 20 draws per size the worst observed were
-# 2.0e-16 for v and 1.8e-16 * max|f| for the combination, both on 4x4
+# 2.0e-16 for v and 1.8e-16 * max|f| for the combination, both on 4x4, and
+# 1.7e-15 * |D(p, q, 1)| for the cofactor row, on 3x3
 FLOAT_TOL = 1024 * np.finfo(float).eps
 
 
@@ -68,9 +73,12 @@ def test_float_chain_agrees_with_exact(n, data):
     omega_alpha, omega_beta = payoff_vectors(game)
     f = [int(x) for x in a * omega_alpha + b * omega_beta + c]  # integers, so exact
     vf = sum(x * y for x, y in zip(v, f))
-    ones = [1] * len(f)
-    assert exact.press_dyson_determinant(P, f) / exact.press_dyson_determinant(P, ones) == vf
+    D1 = exact.press_dyson_determinant(P, [1] * len(f))
+    assert D1 != 0 and (D1 > 0) == (len(f) % 2 == 1)  # sign (-1)^(N-1)
+    assert exact.press_dyson_determinant(P, f) / D1 == vf
 
+    row = cofactor_row(transition_matrix(p, q)).c
+    assert np.abs(row - np.array([D1 * x for x in v], dtype=float)).max() <= FLOAT_TOL * abs(D1)
     float_v = stationary(transition_matrix(p, q)).v
     assert np.abs(float_v - np.array(v, dtype=float)).max() <= FLOAT_TOL
     combination = score_combination(game, p, q, ZDCoefficients(a, b, c))
