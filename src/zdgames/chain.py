@@ -14,8 +14,9 @@ corank verdict under which zero-determinant synthesis is feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -33,11 +34,11 @@ class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
     Immutable: construction computes P - I, its one SVD and its corank,
-    which decides every degenerate-chain verdict; the stationary vector is
-    computed on first use.  All are kept on the instance.  Direct
-    construction validates ``entries`` and keeps a read-only copy; the
-    chain of a strategy pair (:func:`transition_matrix`) holds the joint
-    product itself, which its checked strategies already make stochastic.
+    which decides every degenerate-chain verdict; D of D(p, q, 1) and the
+    stationary vector are computed on first use.  All are kept on the
+    instance.  Direct construction validates ``entries`` and keeps a
+    read-only copy; the chain of a strategy pair (:func:`transition_matrix`)
+    holds the joint product itself, which its checked strategies already make stochastic.
     """
 
     dims: tuple
@@ -57,37 +58,38 @@ class TransitionMatrix:
             np.clip(entries, 0.0, 1.0, out=entries)
         _factor(self, entries)
 
-    @cached_property
-    def _stationary(self):
-        # lazy, unlike the factorization: it can raise, and a raised error is not kept
-        if self._corank > 1:
-            raise NonUniqueStationary(self._corank)
-
-        A = self._shifted.T.copy()
-        A[-1, :] = 1.0
-        b = np.zeros(len(A))
-        b[-1] = 1.0
-        try:
-            v = _accepted(_lapack_solve(A, b), self)
-        except (np.linalg.LinAlgError, InaccurateStationary):
-            v = _accepted(_null_left(self), self)
-        return StationaryDistribution(_frozen(v))  # v is new: _accepted divides
-
 
 def _factor(P, entries):
     """Set the chain ``P``'s ``entries`` (kept, not copied), P - I, its SVD and its corank.
 
     Each is read-only: copy it before writing.  ``_corank`` counts the
-    singular values of P - I that vanish.
+    singular values of P - I that vanish; ``_D`` and ``_stationary`` start unset.
     """
     shifted = entries.copy()  # C-ordered, so the strided view below is the diagonal
     shifted.ravel()[:: len(shifted) + 1] -= 1.0
     svd = tuple(map(_frozen, _lapack_svd(shifted)))
+    sv = svd[1].tolist()
     # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
-    corank = int(np.count_nonzero(svd[1] <= CORANK_RTOL * max(svd[1][0], 1.0)))
+    tol = CORANK_RTOL * max(sv[0], 1.0)
+    corank = len([s for s in sv if s <= tol])  # NaN compares false: never counted
     for name, value in (("entries", _frozen(entries)), ("_shifted", _frozen(shifted)),
-                        ("_svd", svd), ("_corank", corank)):
+                        ("_svd", svd), ("_corank", corank), ("_D", None), ("_stationary", None)):
         object.__setattr__(P, name, value)
+
+
+def _cramer(P):
+    """D of D(p, q, 1): P - I with a last column of ones, made once per chain, read-only."""
+    if P._D is None:
+        D = P._shifted.copy()
+        D[:, -1] = 1.0
+        object.__setattr__(P, "_D", _frozen(D))
+    return P._D
+
+
+@lru_cache(maxsize=None)  # one per chain size
+def _unit(n):
+    """The last unit vector of length n, read-only: the stationary solve's right side."""
+    return _frozen(np.eye(n)[-1].copy())
 
 
 def _linalg_errstate(message):
@@ -97,16 +99,16 @@ def _linalg_errstate(message):
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
+@_linalg_errstate("SVD did not converge")  # the state is built once, entered per call
 def _lapack_svd(a):
     """``np.linalg.svd(a)`` of a float matrix: the gufunc it calls, in its error state."""
-    with _linalg_errstate("SVD did not converge"):
-        return _umath_linalg.svd_f(a, signature="d->ddd")
+    return _umath_linalg.svd_f(a, signature="d->ddd")
 
 
+@_linalg_errstate("Singular matrix")
 def _lapack_solve(a, b):
     """``np.linalg.solve(a, b)`` for a vector ``b``, likewise; numpy's wrapper costs more."""
-    with _linalg_errstate("Singular matrix"):
-        return _umath_linalg.solve1(a, b, signature="dd->d")
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def _lapack_det(a):
@@ -211,20 +213,30 @@ def stationary(P):
         If the fallback is not accepted either: the chain is too close to
         degenerate for double precision.
     """
+    if P._stationary is None:  # a raised error is not kept
+        if P._corank > 1:
+            raise NonUniqueStationary(P._corank)
+        try:  # solve1 copies D^T into its own buffer: the bits of a C-ordered copy
+            v = _accepted(_lapack_solve(_cramer(P).T, _unit(len(P._shifted))), P)
+        except (np.linalg.LinAlgError, InaccurateStationary):
+            v = _accepted(_null_left(P), P)
+        object.__setattr__(P, "_stationary", StationaryDistribution(_frozen(v)))  # v is new
     return P._stationary
 
 
 def _accepted(v, P):
     """``v`` clipped to >= 0 and normalized; InaccurateStationary if it is not stationary."""
-    lo = v.min()
-    if not lo >= -PROB_TOL:
+    mass = v.tolist()  # Python's min and max skip a NaN that is not first, hence isnan
+    lo = min(mass)
+    if not lo >= -PROB_TOL or any(map(math.isnan, mass)):
         raise InaccurateStationary(
-            f"stationary solve produced mass {float(lo)!r} below -{PROB_TOL}"
+            f"stationary solve produced mass {float(v.min())!r} below -{PROB_TOL}"
         )
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
     v = v / v.sum()
-    if not np.abs(v @ P._shifted).max() <= STATIONARY_RESIDUAL_TOL:
+    residual = (v @ P._shifted).tolist()
+    if not max(map(abs, residual)) <= STATIONARY_RESIDUAL_TOL or any(map(math.isnan, residual)):
         raise InaccurateStationary("stationary residual above tolerance after fallback")
     return v
 

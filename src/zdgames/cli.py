@@ -268,7 +268,8 @@ def cmd_pin(game, args):
     print(f"first components: {_fmt_vec(result.p1)}")
     print(f"opponents: {args.opponents} (seed {args.seed})")
     print(f"max deviation: {max(row[3] for row in rows)!r}")
-    print(f"score variance: {float(np.var(pinned))!r}")
+    with np.errstate(over="ignore"):  # scores past 1e154 square to inf
+        print(f"score variance: {float(np.var(pinned))!r}")
     if args.report:
         _write_csv(args.report, ["opponent", "pi_alpha", "pi_beta", "deviation"], rows)
     _save(strategy, args.out)

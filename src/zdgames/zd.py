@@ -25,11 +25,13 @@ relation; the evaluators below need no such operation.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import _chain, _check_pair, _lapack_det, _lapack_solve, expected_scores
+from .chain import _chain, _check_pair, _cramer, _lapack_det, _lapack_solve, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -58,10 +60,10 @@ class ZDCoefficients:
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise ValueError("coefficients must not all vanish")
 
+    @np.errstate(over="ignore", invalid="ignore")  # built once, entered per call
     def combine(self, wa, wb):
         """The target vector a*omega_alpha + b*omega_beta + c; inf or NaN where it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.a * wa + self.b * wb + self.c
+        return self.a * wa + self.b * wb + self.c
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +179,18 @@ def score_combination(game, p, q, coeffs):
     P = _chain(p, q)
     if P._corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {P._corank}")
-    f, s = _scaled(coeffs.combine(*payoff_vectors(game)))  # huge coefficients overflow
-    D = P._shifted.copy()
-    D[:, -1] = 1.0
+    f, s = _target(game, struct.pack("3d", coeffs.a, coeffs.b, coeffs.c))
     try:
-        return float(_lapack_solve(D, f)[-1]) * s
+        return float(_lapack_solve(_cramer(P), f)[-1]) * s
     except np.linalg.LinAlgError:
         raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
+
+
+@lru_cache(maxsize=1)  # the last game, by identity, and coefficients, by bits: 0.0 == -0.0
+def _target(game, bits):
+    """``_scaled`` target of the coefficients packed in ``bits`` on ``game``; f read-only."""
+    f, s = _scaled(ZDCoefficients(*struct.unpack("3d", bits)).combine(*payoff_vectors(game)))
+    return _frozen(f), s
 
 
 def synthesize_zd_alpha(game, coeffs):

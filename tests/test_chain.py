@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import pickle
+import types
 import warnings
 import weakref
 
@@ -33,6 +35,7 @@ from zdgames import (
     zd_feasibility_condition,
 )
 import zdgames.chain as chain_module
+from zdgames.chain import CORANK_RTOL
 import zdgames.model as model_module
 import zdgames.zd as zd_module
 
@@ -411,6 +414,92 @@ def test_lapack_kernels_are_the_only_entry():
     # TestLapackKernels pins to numpy.linalg's
     package = pathlib.Path(chain_module.__file__).parent
     assert [e for path in sorted(package.glob("*.py")) for e in lapack_entries(path)] == []
+
+
+def fresh_verified_pair(n, seed=7):
+    """A new game and strategy pair, equal for equal seeds, and the per-pair results on them.
+
+    New objects miss every kept chain and target, as each pair of a batch does.
+    """
+    rng = np.random.default_rng(seed)
+    game = rand_game(rng, n, n)
+    p, q = rand_strategy(rng, "alpha", n, n), rand_strategy(rng, "beta", n, n)
+    P = transition_matrix(p, q)
+    return [stationary(P).v, expected_scores(game, p, q), zd_feasibility_condition(P).cofactors.c,
+            score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))]
+
+
+def same_bits(a, b):
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+class TestErrorState:
+    """numpy.linalg's error state is built once per helper and never leaks to the caller."""
+
+    def test_a_verified_pair_enters_no_errstate(self, monkeypatch):
+        entered = []
+        enter = np.errstate.__enter__
+
+        def counted(self):
+            entered.append(self)
+            return enter(self)
+
+        monkeypatch.setattr(np.errstate, "__enter__", counted)
+        for n in (2, 3):
+            fresh_verified_pair(n)
+        assert entered == []
+
+    def test_caller_state_is_restored(self):
+        before = np.geterr(), np.geterrcall()
+        fresh_verified_pair(3)
+        assert (np.geterr(), np.geterrcall()) == before
+        failing = [(chain_module._lapack_solve, (np.ones((3, 3)), np.ones(3))),
+                   (chain_module._lapack_svd, (np.full((3, 3), np.nan),))]
+        for kernel, args in failing:
+            with pytest.raises(np.linalg.LinAlgError):
+                kernel(*args)
+            assert (np.geterr(), np.geterrcall()) == before
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_caller_state_changes_no_bit(self, state):
+        expected = [fresh_verified_pair(n, seed) for n in (2, 3) for seed in (1, 2)]
+        with np.errstate(all=state):
+            got = [fresh_verified_pair(n, seed) for n in (2, 3) for seed in (1, 2)]
+            assert np.geterr() == dict.fromkeys(["divide", "over", "under", "invalid"], state)
+        assert same_bits(got, expected)
+
+
+class TestPythonFloatReductions:
+    """Python's min and max skip a NaN that is not first; numpy's do not, nor may the checks."""
+
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_nan_mass_fails(self, rng, where):
+        P = transition_matrix(rand_strategy(rng, "alpha", 3, 3), rand_strategy(rng, "beta", 3, 3))
+        v = stationary(P).v.copy()
+        v[where] = np.nan
+        with pytest.raises(InaccurateStationary,
+                           match=r"^stationary solve produced mass nan below -1e-12$"):
+            chain_module._accepted(v, P)
+
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_nan_residual_fails(self, rng, where):
+        P = transition_matrix(rand_strategy(rng, "alpha", 3, 3), rand_strategy(rng, "beta", 3, 3))
+        shifted = P._shifted.copy()
+        shifted[:, where] = np.nan  # a NaN in the residual's entry ``where`` alone
+        chain = types.SimpleNamespace(_shifted=shifted)
+        assert chain_module._accepted(stationary(P).v, P) is not None
+        with pytest.raises(InaccurateStationary,
+                           match="^stationary residual above tolerance after fallback$"):
+            chain_module._accepted(stationary(P).v, chain)
+
+    @pytest.mark.parametrize("sv", [[np.nan, 1.0, 0.0, 0.0], [2.0, np.nan, 0.0, 1e-11],
+                                    [2.0, 1.0, 0.0, np.nan], [np.nan, np.nan, np.nan, np.nan]])
+    def test_corank_counts_as_numpy_did(self, monkeypatch, sv):
+        sv = np.array(sv)
+        u = np.eye(4)
+        monkeypatch.setattr(chain_module, "_lapack_svd", lambda a: (u, sv.copy(), u))
+        P = TransitionMatrix((2, 2), np.full((4, 4), 0.25))
+        assert P._corank == int(np.count_nonzero(sv <= CORANK_RTOL * max(sv[0], 1.0)))
 
 
 class TestStationaryFallback:

@@ -305,6 +305,23 @@ class TestPin:
         assert code == 0
         assert max(float(row["deviation"]) for row in read_rows(report)) < 1e-9 * 1e6
 
+    @pytest.mark.parametrize("A, player", [([[-1e308, 3], [1.5, 0.0]], "alpha"),
+                                           ([[3, 0], [5, -1e308]], "beta")])
+    def test_variance_past_the_float_limit_warns_nothing(self, tmp_path, capsys, A, player):
+        # pinned scores near 1e291 keep the pin's scale-relative contract; their
+        # variance is inf, and squaring them must not leak numpy's overflow warning
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "A": A}), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pin", str(path), "--player", player, "--target", "0.6",
+                         "--opponents", "10", "--out", str(tmp_path / "pin.json")])
+        assert code == 0
+        assert not caught
+        captured = capsys.readouterr()
+        assert "score variance: inf" in captured.out
+        assert "Warning" not in captured.err
+
 
 class TestSimulate:
     def test_reproducible_csv(self, tmp_path, chicken_path):

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ from zdgames import (
     verify_linear_relation,
     zd_feasibility_condition,
 )
+import zdgames.zd as zd_module
 from zdgames.zd import _synthesis
 
 from helpers import (
@@ -212,6 +214,78 @@ class TestScoreCombination:
         q = rand_strategy(rng, "beta", 2, 2)
         with pytest.raises(ValueError, match="finite"):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(np.nan, 0, 0))
+
+
+def kept_target(game, coeffs):
+    """The target ``score_combination`` keeps for ``game`` and ``coeffs``, and the memo's misses."""
+    bits = struct.pack("3d", coeffs.a, coeffs.b, coeffs.c)
+    misses = zd_module._target.cache_info().misses
+    kept = zd_module._target(game, bits)
+    assert zd_module._target.cache_info().misses == misses  # a hit: it was kept
+    return kept, misses
+
+
+class TestTargetMemo:
+    """One scaled target per game, by identity, and coefficients, by their exact bits."""
+
+    def pair(self, rng):
+        return rand_strategy(rng, "alpha", 2, 2), rand_strategy(rng, "beta", 2, 2)
+
+    def test_signed_zeros_do_not_share_an_entry(self, rng):
+        # f = a*wa + b*wb + c is -0.0 in state (1, 1) exactly when c is -0.0
+        game = make_game([[-0.0, 1.0], [2.0, 3.0]], [[-1.0, 1.0], [2.0, 3.0]])
+        p, q = self.pair(rng)
+        signs, misses = [], []
+        for c in (-0.0, 0.0):
+            coeffs = ZDCoefficients(1.0, 0.0, c)
+            score_combination(game, p, q, coeffs)
+            (f, _), missed = kept_target(game, coeffs)
+            signs.append(bool(np.signbit(f[0])))
+            misses.append(missed)
+        assert signs == [True, False]
+        assert misses[1] == misses[0] + 1
+
+    def test_equal_games_do_not_share_an_entry(self, rng):
+        A, B = [[3.0, 0.0], [5.0, 1.0]], [[3.0, 0.0], [5.0, 1.0]]
+        p, q = self.pair(rng)
+        coeffs = ZDCoefficients(1.0, -1.0, 0.0)
+        kept = []
+        for game in (make_game(A, B), make_game(A, B)):
+            score_combination(game, p, q, coeffs)
+            kept.append(kept_target(game, coeffs))
+        (first, missed), (second, missed_next) = kept
+        assert first[0] is not second[0] and missed_next == missed + 1
+
+    def test_kept_target_is_read_only(self, rng):
+        game = rand_game(rng, 2, 2)
+        coeffs = ZDCoefficients(0.5, -1.0, 0.25)
+        score_combination(game, *self.pair(rng), coeffs)
+        (f, _), _ = kept_target(game, coeffs)
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+
+    def test_errors_are_raised_each_call(self, rng):
+        game = make_game([[1e308, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        overflowing = ZDCoefficients(10.0, 0.0, 0.0)  # f = 1e309 in state (1, 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^f must be finite$"):
+                score_combination(game, *self.pair(rng), overflowing)
+        p = make_strategy("alpha", [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                          order="alpha-major")
+        q = make_strategy("beta", [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                          order="alpha-major")
+        for coeffs in (ZDCoefficients(1.0, 0.0, 0.0), overflowing):  # corank first, as before
+            with pytest.raises(DegenerateDenominator,
+                               match=r"^D\(p, q, 1\) vanishes: P - I has corank 4$"):
+                score_combination(game, p, q, coeffs)
+
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_scaled_rejects_nan_anywhere(self, where):
+        f = np.array([1.0, -2.0, 3.0, 4.0])
+        f[where] = np.nan
+        with pytest.raises(ValueError, match=r"^f must be finite$"):
+            zd_module._scaled(f)
 
 
 class TestFloatLimit:
