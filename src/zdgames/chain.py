@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy._core._multiarray_umath import _make_extobj
+from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import _umath_linalg
 
 from .errors import InaccurateStationary, NonUniqueStationary
-from .model import PROB_TOL, _frozen, payoff_vectors
+from .model import PROB_TOL, _frozen
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
@@ -65,16 +67,14 @@ def _factor(P, entries):
     Each is read-only: copy it before writing.  ``_corank`` counts the
     singular values of P - I that vanish; ``_D`` and ``_stationary`` start unset.
     """
-    shifted = entries.copy()  # C-ordered, so the strided view below is the diagonal
-    shifted.ravel()[:: len(shifted) + 1] -= 1.0
+    shifted = entries - _eye(len(entries))  # x - 0.0 is x: the bits of a diagonal -= 1
     svd = tuple(map(_frozen, _lapack_svd(shifted)))
     sv = svd[1].tolist()
     # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
     tol = CORANK_RTOL * max(sv[0], 1.0)
     corank = len([s for s in sv if s <= tol])  # NaN compares false: never counted
-    for name, value in (("entries", _frozen(entries)), ("_shifted", _frozen(shifted)),
-                        ("_svd", svd), ("_corank", corank), ("_D", None), ("_stationary", None)):
-        object.__setattr__(P, name, value)
+    vars(P).update(entries=_frozen(entries), _shifted=_frozen(shifted), _svd=svd,
+                   _corank=corank, _D=None, _stationary=None)
 
 
 def _cramer(P):
@@ -87,28 +87,38 @@ def _cramer(P):
 
 
 @lru_cache(maxsize=None)  # one per chain size
-def _unit(n):
-    """The last unit vector of length n, read-only: the stationary solve's right side."""
-    return _frozen(np.eye(n)[-1].copy())
+def _eye(n):
+    """The n x n identity, read-only; its last row is the stationary solve's right side."""
+    return _frozen(np.eye(n))
 
 
 def _linalg_errstate(message):
     """numpy.linalg's error state: LAPACK's failure flag raises LinAlgError(message)."""
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-@_linalg_errstate("SVD did not converge")  # the state is built once, entered per call
+# built once, at import, and set per call through the context variable np.errstate sets
+_SVD_STATE, _SOLVE_STATE = map(_linalg_errstate, ["SVD did not converge", "Singular matrix"])
+
+
 def _lapack_svd(a):
     """``np.linalg.svd(a)`` of a float matrix: the gufunc it calls, in its error state."""
-    return _umath_linalg.svd_f(a, signature="d->ddd")
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
+        return _umath_linalg.svd_f(a, signature="d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
-@_linalg_errstate("Singular matrix")
 def _lapack_solve(a, b):
     """``np.linalg.solve(a, b)`` for a vector ``b``, likewise; numpy's wrapper costs more."""
-    return _umath_linalg.solve1(a, b, signature="dd->d")
+    token = _extobj_contextvar.set(_SOLVE_STATE)
+    try:
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _lapack_det(a):
@@ -217,7 +227,7 @@ def stationary(P):
         if P._corank > 1:
             raise NonUniqueStationary(P._corank)
         try:  # solve1 copies D^T into its own buffer: the bits of a C-ordered copy
-            v = _accepted(_lapack_solve(_cramer(P).T, _unit(len(P._shifted))), P)
+            v = _accepted(_lapack_solve(_cramer(P).T, _eye(len(P._shifted))[-1]), P)
         except (np.linalg.LinAlgError, InaccurateStationary):
             v = _accepted(_null_left(P), P)
         object.__setattr__(P, "_stationary", StationaryDistribution(_frozen(v)))  # v is new
@@ -234,8 +244,8 @@ def _accepted(v, P):
         )
     if lo <= 0.0:  # the clip also turns -0.0 into 0.0
         v = np.clip(v, 0.0, None)
-    v = v / v.sum()
-    residual = (v @ P._shifted).tolist()
+    v = v / np.add.reduce(v)
+    residual = v.dot(P._shifted).tolist()
     if not max(map(abs, residual)) <= STATIONARY_RESIDUAL_TOL or any(map(math.isnan, residual)):
         raise InaccurateStationary("stationary residual above tolerance after fallback")
     return v
@@ -256,8 +266,9 @@ def cofactor_row(P):
     u, sv, vt = P._svd
     # corank-1 Adj(M) = +-prod(sv[:-1]) outer(V[:,-1], U[:,-1]), sign by the tree theorem
     w = float(vt[-1, -1])
-    dot = w * float(u[:, -1].sum())
-    scale = (-1.0) ** (len(sv) - 1) * ((dot > 0.0) - (dot < 0.0)) * float(sv[:-1].prod())
+    dot = w * float(np.add.reduce(u[:, -1]))
+    sign = (-1.0) ** (len(sv) - 1) * ((dot > 0.0) - (dot < 0.0))
+    scale = sign * float(np.multiply.reduce(sv[:-1]))
     return CofactorVector(_frozen(scale * w * u[:, -1]))
 
 
@@ -280,6 +291,6 @@ def expected_scores(game, p, q):
 
 
 def _scores(game, v):
-    """Both players' average payoffs v . omega under the state weights ``v``."""
-    wa, wb = payoff_vectors(game)
-    return ScorePair(float(v @ wa), float(v @ wb))
+    """Both players' average payoffs under the state weights ``v``: s * v . (omega / s)."""
+    (wa, sa), (wb, sb) = game._scaled_payoffs
+    return ScorePair(float(v.dot(wa)) * sa, float(v.dot(wb)) * sb)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_ratio, _in_box, own_move_one_indicator, payoff_vectors
+from .model import _check_ratio, _in_box, _scaled, own_move_one_indicator, payoff_vectors
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
@@ -103,21 +103,28 @@ def _require_normalized(A):
 
 
 def _extortion_vectors(game):
-    """sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn."""
-    wa, wb = payoff_vectors(game)
-    nn = game.A[-1, -1]
-    return 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n), wa - nn, wb - nn
+    """A, sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, and s.
+
+    A, u and w are divided, exactly, by s >= 1, the power of two of ``model._scaled``:
+    they stay finite at the float limit, and lam*w/s overflows only where lam*w does.
+    """
+    s = max(_scaled(game.A)[1], 1.0)
+    A, (wa, wb) = game.A / s, payoff_vectors(game)
+    nn = A[-1, -1]
+    sigma = 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n)
+    return A, sigma, wa / s - nn, wb / s - nn, s
 
 
-def _brackets(u, w, lam):
-    """g = u - lam*w, the brackets E_ij; ValueError if one overflows."""
-    with np.errstate(over="ignore"):
-        g = u - lam * w
+@np.errstate(over="ignore")
+def _brackets(u, w, lam, s):
+    """The brackets E_ij = s*(u - lam*w); ValueError if one overflows."""
+    g = (u - lam * w) * s
     if not np.isfinite(g).all():
         raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
     return g
 
 
+@np.errstate(all="ignore")  # U/W: W == 0 is masked out; a huge ratio is inf
 def _half_lines(A, sigma, u, w):
     """The one zero rule: ends U/W and masks for lam >= U/W, lam <= U/W, no lam.
 
@@ -127,9 +134,7 @@ def _half_lines(A, sigma, u, w):
     scaled = CONDITION_TOL * A  # scaled first, so the spread stays finite
     live = np.maximum(np.abs(u), np.abs(w)) > scaled.max() - scaled.min()
     U, W = sigma * u, sigma * w
-    with np.errstate(all="ignore"):  # W == 0 is masked out; a huge ratio is inf
-        ends = U / W
-    return ends, live & (W < 0.0), live & (W > 0.0), live & (W == 0.0) & (U < 0.0)
+    return U / W, live & (W < 0.0), live & (W > 0.0), live & (W == 0.0) & (U < 0.0)
 
 
 def check_extortion_factor(game, lam):
@@ -142,9 +147,9 @@ def check_extortion_factor(game, lam):
     ``extortion_strategy`` is feasible at every theta <= theta_max.
     """
     _check_factor(lam)
-    A = _require_normalized(_require_symmetric(game))
-    sigma, u, w = _extortion_vectors(game)
-    inward = sigma * _brackets(u, w, lam)  # < 0 at a tie
+    _require_normalized(_require_symmetric(game))
+    A, sigma, u, w, s = _extortion_vectors(game)
+    inward = sigma * _brackets(u, w, lam, s)  # < 0 at a tie
     ends, lower, upper, failing = _half_lines(A, sigma, u, w)
     with np.errstate(over="ignore"):  # an end at the float limit widens to inf
         failing |= lower & (lam < ends * (1.0 - 2.0 * CONDITION_TOL))
@@ -152,7 +157,7 @@ def check_extortion_factor(game, lam):
     failing[0] |= lam < 1.0  # E_11 = (1 - lam)(a_11 - a_nn) misses lam < 1 when a_11 == a_nn
     families = [FIRST_ROW] + [INTERIOR] * (game.n - 2) + [LAST_ROW]
     violated = tuple((families[i], i + 1, j + 1) for i, j in
-                     (divmod(s, game.n) for s in np.flatnonzero(failing).tolist()))
+                     (divmod(k, game.n) for k in failing.nonzero()[0].tolist()))
     if violated:
         return ConditionReport(False, violated, 0.0)
     return ConditionReport(True, (), _feasible_scale(inward))
@@ -160,8 +165,8 @@ def check_extortion_factor(game, lam):
 
 def extortion_factor_bounds(game):
     """Intersect the half-lines of :func:`_half_lines` with [1, inf)."""
-    A = _require_normalized(_require_symmetric(game))
-    ends, lower, upper, dead = _half_lines(A, *_extortion_vectors(game))
+    _require_normalized(_require_symmetric(game))
+    ends, lower, upper, dead = _half_lines(*_extortion_vectors(game)[:4])
     lo = float(ends[lower].max(initial=1.0))
     hi = float(ends[upper].min(initial=math.inf)) + 0.0  # U = -0.0 ends at 0.0
     fits = max(1.0, lo * (1.0 - 2.0 * CONDITION_TOL)) <= hi * (1.0 + 2.0 * CONDITION_TOL)
@@ -177,8 +182,8 @@ def extortion_strategy(game, params):
     A tie keeps its sign: past theta_max its entry may be a violation.
     """
     _require_symmetric(game)
-    _, u, w = _extortion_vectors(game)
-    return _synthesis("alpha", game, _brackets(u, w, params.lam), params.theta)
+    *_, u, w, s = _extortion_vectors(game)
+    return _synthesis("alpha", game, _brackets(u, w, params.lam, s), params.theta)
 
 
 def theta_max(game, lam):

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,20 @@ def _check_player(player):
 def _check_moves(n, m):
     if n < 2 or m < 2:
         raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
+
+
+def _scaled(f):
+    """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
+
+    Evaluating on f / s and multiplying by s keeps payoffs near the float
+    limit from overflowing inside LAPACK or a dot product; dividing by 2^k
+    is exact.
+    """
+    size = float(np.abs(f).max())
+    if not math.isfinite(size):
+        raise ValueError("f must be finite")
+    s = math.ldexp(0.5, math.frexp(size)[1])
+    return f / s, s
 
 
 def _frozen(a):
@@ -96,7 +111,7 @@ class BimatrixGame:
     A: np.ndarray
     B: np.ndarray
 
-    @property
+    @cached_property
     def is_symmetric(self):
         """True when both players face the identical payoff table."""
         return self.n == self.m and np.array_equal(self.A, self.B)
@@ -105,6 +120,11 @@ class BimatrixGame:
     def _payoffs(self):
         """:func:`payoff_vectors`' pair, kept read-only on the game."""
         return _frozen(self.A.ravel()), _frozen(self.B.T.ravel())
+
+    @cached_property
+    def _scaled_payoffs(self):
+        """:func:`_scaled` of each of :func:`payoff_vectors`' pair: ((omega / s, s), ...)."""
+        return tuple(map(_scaled, self._payoffs))
 
 
 def make_game(A, B):

@@ -10,6 +10,8 @@ alpha-major, as in ``zdgames``.
   None when D(p, q, 1) = 0, i.e. the chain has several closed classes.
 - ``press_dyson_determinant(P, f)`` is D(p, q, f), the determinant of P - I
   with its last column set to f, by rational elimination.
+- ``synthesized(delta, g, t, k)`` is the strategy whose first components are
+  delta + t*g, its other k - 1 moves sharing the rest evenly, as rows.
 """
 
 from fractions import Fraction
@@ -69,3 +71,11 @@ def stationary(P):
     for t in reversed(range(size)):
         v[t] = (M[t][-1] - sum(M[t][u] * v[u] for u in range(t + 1, size))) / M[t][t]
     return v
+
+
+def synthesized(delta, g, t, k):
+    rows = []
+    for d, x in zip(delta, g):
+        first = Fraction(d) + Fraction(t) * Fraction(x)
+        rows.append([first] + [(1 - first) / (k - 1)] * (k - 1))
+    return rows

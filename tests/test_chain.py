@@ -6,6 +6,7 @@ import warnings
 import weakref
 
 import numpy as np
+import numpy._core._ufunc_config as numpy_ufunc_config
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -379,14 +380,43 @@ class TestLapackKernels:
         assert expected in [ours[0] for ours, _ in outcomes]
 
 
-LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det")
+SPECIAL_ENTRIES = [-0.0, 0.0, 5e-324, 1e-310, np.nan, 1.0]
+
+
+def dispatch_pairs(S, v, w):
+    """(ours, theirs): each numpy call of the per-pair path and the form it replaced."""
+    shifted = S.copy()
+    shifted.ravel()[:: len(S) + 1] -= 1.0
+    return [(v.dot(S), v @ S), (v.dot(w), v @ w), (np.add.reduce(v), v.sum()),
+            (np.multiply.reduce(v), v.prod()), (S - np.eye(len(S)), shifted)]
+
+
+class TestDispatchBits:
+    """ndarray.dot, the ufunc reductions and P - I from the identity give the bits they replaced."""
+
+    @given(st.integers(4, 400), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(SPECIAL_ENTRIES), st.floats(0, 1, exclude_max=True),
+                              st.sampled_from(["S", "v", "w"])), max_size=6))
+    def test_bits_match_the_replaced_forms(self, n, seed, specials):
+        rng = np.random.default_rng(seed)
+        arrays = {"S": rng.random((n, n)), "v": rng.dirichlet(np.ones(n)),
+                  "w": rng.uniform(-5.0, 5.0, n)}
+        for value, where, name in specials:  # -0.0, subnormal and NaN entries
+            arrays[name].ravel()[int(where * arrays[name].size)] = value
+        for ours, theirs in dispatch_pairs(arrays["S"], arrays["v"], arrays["w"]):
+            assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+
+
+LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det", "_linalg_errstate")
+ERROR_STATE = ("_extobj_contextvar", "_make_extobj")  # numpy's private error-state internals
 
 
 def lapack_entries(path):
     """``file:line: name`` of each numpy.linalg route in ``path`` but the chain's kernels.
 
     A route is a call to a numpy.linalg function other than LinAlgError or
-    to a gufunc of ``_umath_linalg``, or an import of such a function.
+    to a gufunc of ``_umath_linalg``, or an import of such a function; or a
+    use of numpy's error-state internals, which only chain.py may import.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     kernels = [node for node in tree.body if path.name == "chain.py"
@@ -396,12 +426,18 @@ def lapack_entries(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             names = [alias.name for alias in node.names if alias.name not in allowed]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names
+                     if alias.name in ERROR_STATE and path.name != "chain.py"]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names if alias.name.startswith("numpy.linalg")]
         elif isinstance(node, ast.Call):
             name = ast.unparse(node.func)
             routed = name.startswith(("np.linalg.", "numpy.linalg.", "_umath_linalg."))
             names = [name] if routed and name.rsplit(".", 1)[-1] != "LinAlgError" else []
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            names = [name] if name in ERROR_STATE else []
         else:
             continue
         if not any(k.lineno <= node.lineno <= k.end_lineno for k in kernels):
@@ -411,9 +447,19 @@ def lapack_entries(path):
 
 def test_lapack_kernels_are_the_only_entry():
     # every factorization goes through the chain's three kernels, whose bits
-    # TestLapackKernels pins to numpy.linalg's
+    # TestLapackKernels pins to numpy.linalg's; only they and _linalg_errstate
+    # touch numpy's error-state internals
     package = pathlib.Path(chain_module.__file__).parent
     assert [e for path in sorted(package.glob("*.py")) for e in lapack_entries(path)] == []
+
+
+def test_error_state_outside_the_kernels_is_an_entry(tmp_path):
+    path = tmp_path / "zd.py"
+    path.write_text("from numpy._core._ufunc_config import _extobj_contextvar\n"
+                    "import numpy._core._ufunc_config as config\n"
+                    "token = config._extobj_contextvar.set(config._make_extobj(all='ignore'))\n")
+    assert lapack_entries(path) == ["zd.py:1: _extobj_contextvar",
+                                    "zd.py:3: _extobj_contextvar", "zd.py:3: _make_extobj"]
 
 
 def fresh_verified_pair(n, seed=7):
@@ -434,7 +480,38 @@ def same_bits(a, b):
 
 
 class TestErrorState:
-    """numpy.linalg's error state is built once per helper and never leaks to the caller."""
+    """numpy.linalg's error state is built at import, once per helper, and set per call.
+
+    The helpers set it through the context variable ``np.errstate`` uses and
+    reset it in ``finally``, so it never leaks to the caller.
+    """
+
+    def test_a_verified_pair_builds_no_error_state(self, monkeypatch):
+        # np.errstate's decorator and context manager both build their state on
+        # every call; the pairs share a game, whose score_combination target is kept
+        built = []
+        make = numpy_ufunc_config._make_extobj
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return make(*args, **kwargs)
+
+        rng = np.random.default_rng(7)
+        game = rand_game(rng, 3, 3)
+
+        def verify():
+            p, q = rand_strategy(rng, "alpha", 3, 3), rand_strategy(rng, "beta", 3, 3)
+            P = transition_matrix(p, q)
+            stationary(P)
+            expected_scores(game, p, q)
+            zd_feasibility_condition(P)
+            score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+
+        verify()
+        monkeypatch.setattr(numpy_ufunc_config, "_make_extobj", counted)
+        verify()
+        verify()
+        assert built == []
 
     def test_a_verified_pair_enters_no_errstate(self, monkeypatch):
         entered = []
@@ -637,6 +714,19 @@ class TestExpectedScores:
         scores = expected_scores(game, uniform("alpha", 2, 2), uniform("beta", 2, 2))
         assert abs(scores.pi_alpha - 0.75) < 1e-12
         assert abs(scores.pi_beta - 0.75) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 600])
+    def test_payoffs_at_the_float_limit(self, k):
+        # v . omega averages four payoffs of -1.8e308, so it lies at the float
+        # limit and rounds to -inf; the dot product used to overflow with
+        # numpy's warning, and over s it is the 2^-k copy's score times 2^k
+        rows = [[0.25, 0.75], [1.0, 0.0], [0.5, 0.5], [0.25, 0.75]]
+        p = make_strategy("alpha", rows, order="alpha-major")
+        q = make_strategy("beta", rows, order="alpha-major")
+        big = np.full((2, 2), -np.finfo(float).max)
+        scores = expected_scores(make_game(big, big), p, q)
+        small = expected_scores(make_game(np.ldexp(big, -k), np.ldexp(big, -k)), p, q)
+        assert scores.pi_alpha == scores.pi_beta == small.pi_alpha * 2.0**k
 
     def test_within_payoff_range(self, rng):
         game = rand_game(rng, 3, 2)

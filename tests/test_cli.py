@@ -246,6 +246,24 @@ class TestExtort:
         err = capsys.readouterr().err
         assert "overflows" in err and "RuntimeWarning" not in err
 
+    def test_payoffs_near_the_float_limit(self, tmp_path, capsys):
+        # a_21 - a_22 overflows, yet the brackets up to lambda 1.39 are finite and the
+        # interval is [1, 2]
+        path = tie_game(tmp_path, [[1.0, 0.5], [1e308, -1e308]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["extort", path, "--bounds"]) == 0
+            assert main(["extort", path, "--lambda", "1", "--theta-max"]) == 0
+            assert main(["scan", path, "--lambda-grid", "1,1.25", "--opponents", "2",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out.startswith("admissible factors: [1.0, 2.0]\nfeasible: True\n"
+                                       "theta_max = 1e-308\n")
+        assert captured.err == ""
+        rows = read_rows(tmp_path / "scan.csv")
+        assert [row["lambda_ok"] for row in rows] == ["True", "True"]
+
     def test_module_runs_as_a_script(self, chicken_path):
         src = str(pathlib.Path(zdgames.__file__).parents[1])
         done = subprocess.run(

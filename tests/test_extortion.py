@@ -397,6 +397,25 @@ def test_bracket_route_is_exact_under_shift_and_power_of_two_scale(problem, c, k
     assert moved_p1.tobytes() == p1.tobytes()
 
 
+@pytest.mark.parametrize("k", [0, 500, 1000])
+def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
+    # a_21 - a_22 = 2e308 overflows, though every bracket up to lam = 1.39 is
+    # finite: the exact interval is [1, 2], and the game and its copy scaled
+    # by 2^-k give the same verdicts, theta_max times 2^k and the same bits
+    A = np.array([[1.0, 0.5], [1e308, -1e308]])
+    game, small = make_symmetric(A), make_symmetric(np.ldexp(A, -k))
+    assert extortion_factor_bounds(game) == extortion_factor_bounds(small) == \
+        FactorBounds(1.0, 2.0, True)
+    for lam in (1.0, 1.25):
+        report, small_report = check_extortion_factor(game, lam), check_extortion_factor(small, lam)
+        assert report.ok and small_report.ok
+        assert report.theta_max == math.ldexp(small_report.theta_max, -k)
+        theta = 0.5 * report.theta_max
+        p1 = extortion_strategy(game, ExtortionParams(lam, theta)).p1
+        small_p1 = extortion_strategy(small, ExtortionParams(lam, math.ldexp(theta, k))).p1
+        assert p1.tobytes() == small_p1.tobytes()
+
+
 class TestChickenExtortion:
     def test_reference_point(self):
         assert tuple(chicken_extortion(0.5, 2.0, 0.1)) == (0.9, 0.75, 0.05, 0.0)
