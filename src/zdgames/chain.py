@@ -291,6 +291,6 @@ def expected_scores(game, p, q):
 
 
 def _scores(game, v):
-    """Both players' average payoffs under the state weights ``v``: s * v . (omega / s)."""
-    (wa, sa), (wb, sb) = game._scaled_payoffs
+    """Both players' average payoffs v . omega, as s * v . (omega / s): see ``model._halved``."""
+    (wa, sa), (wb, sb) = game._halved_payoffs
     return ScorePair(float(v.dot(wa)) * sa, float(v.dot(wb)) * sb)

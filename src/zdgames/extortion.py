@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_ratio, _in_box, _scaled, own_move_one_indicator, payoff_vectors
+from .model import _check_ratio, _halved, _in_box, own_move_one_indicator, payoff_vectors
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
@@ -105,26 +105,24 @@ def _require_normalized(A):
 def _extortion_vectors(game):
     """A, sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, and s.
 
-    A, u and w are divided, exactly, by s >= 1, the power of two of ``model._scaled``:
-    they stay finite at the float limit, and lam*w/s overflows only where lam*w does.
+    A, u and w are divided by s, from ``model._halved``: they stay finite at the
+    float limit, and below it s is 1 and they keep their bits.
     """
-    s = max(_scaled(game.A)[1], 1.0)
-    A, (wa, wb) = game.A / s, payoff_vectors(game)
+    (A, s), (wa, wb) = _halved(game.A), payoff_vectors(game)
     nn = A[-1, -1]
     sigma = 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n)
     return A, sigma, wa / s - nn, wb / s - nn, s
 
 
-@np.errstate(over="ignore")
 def _brackets(u, w, lam, s):
     """The brackets E_ij = s*(u - lam*w); ValueError if one overflows."""
-    g = (u - lam * w) * s
+    with np.errstate(over="ignore"):
+        g = (u - lam * w) * s
     if not np.isfinite(g).all():
         raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
     return g
 
 
-@np.errstate(all="ignore")  # U/W: W == 0 is masked out; a huge ratio is inf
 def _half_lines(A, sigma, u, w):
     """The one zero rule: ends U/W and masks for lam >= U/W, lam <= U/W, no lam.
 
@@ -134,7 +132,9 @@ def _half_lines(A, sigma, u, w):
     scaled = CONDITION_TOL * A  # scaled first, so the spread stays finite
     live = np.maximum(np.abs(u), np.abs(w)) > scaled.max() - scaled.min()
     U, W = sigma * u, sigma * w
-    return U / W, live & (W < 0.0), live & (W > 0.0), live & (W == 0.0) & (U < 0.0)
+    with np.errstate(all="ignore"):  # W == 0 is masked out; a huge ratio is inf
+        ends = U / W
+    return ends, live & (W < 0.0), live & (W > 0.0), live & (W == 0.0) & (U < 0.0)
 
 
 def check_extortion_factor(game, lam):

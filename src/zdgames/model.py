@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,18 +45,12 @@ def _check_moves(n, m):
         raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
 
 
-def _scaled(f):
-    """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
+def _halved(f):
+    """(f / 2, 2.0) if max|f| >= 2^1023, else (f, 1.0); halving is exact but on subnormals.
 
-    Evaluating on f / s and multiplying by s keeps payoffs near the float
-    limit from overflowing inside LAPACK or a dot product; dividing by 2^k
-    is exact.
+    Past 2^1023 a difference or a running sum can overflow though its result does not.
     """
-    size = float(np.abs(f).max())
-    if not math.isfinite(size):
-        raise ValueError("f must be finite")
-    s = math.ldexp(0.5, math.frexp(size)[1])
-    return f / s, s
+    return (_frozen(f / 2.0), 2.0) if float(np.abs(f).max()) >= 2.0**1023 else (f, 1.0)
 
 
 def _frozen(a):
@@ -122,9 +115,9 @@ class BimatrixGame:
         return _frozen(self.A.ravel()), _frozen(self.B.T.ravel())
 
     @cached_property
-    def _scaled_payoffs(self):
-        """:func:`_scaled` of each of :func:`payoff_vectors`' pair: ((omega / s, s), ...)."""
-        return tuple(map(_scaled, self._payoffs))
+    def _halved_payoffs(self):
+        """:func:`_halved` of each of :func:`payoff_vectors`' pair."""
+        return tuple(map(_halved, self._payoffs))
 
 
 def make_game(A, B):

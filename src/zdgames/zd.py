@@ -39,7 +39,6 @@ from .model import (
     _completed,
     _frozen,
     _in_box,
-    _scaled,
     own_move_one_indicator,
     payoff_vectors,
 )
@@ -99,11 +98,11 @@ class SynthesisResult:
         return _completed(self.player, self.p1, self.n, self.m, fill_rule)
 
 
-@np.errstate(over="ignore")  # an overflowing entry is reported as a violation
 def _synthesis(player, game, g, t=1.0):
     """``player``'s first components delta + t*g, delta its own-move-1 indicator."""
     n, m = game.n, game.m
-    raw = own_move_one_indicator(player, n, m) + t * g
+    with np.errstate(over="ignore"):  # an overflowing entry is reported as a violation
+        raw = own_move_one_indicator(player, n, m) + t * g
     outside = ~_in_box(raw)
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
@@ -129,6 +128,19 @@ def _feasible_scale(inward):
     if cap * tie > PROB_TOL:
         cap = math.nextafter(cap, 0.0)
     return min(1.0 / step if step else math.inf, cap)
+
+
+def _scaled(f):
+    """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
+
+    Evaluating on f / s and multiplying by s keeps payoffs near the float
+    limit from overflowing inside LAPACK; dividing by 2^k is exact.
+    """
+    size = float(np.abs(f).max())
+    if not math.isfinite(size):
+        raise ValueError("f must be finite")
+    s = math.ldexp(0.5, math.frexp(size)[1])
+    return f / s, s
 
 
 def press_dyson_determinant(p, q, f):
@@ -195,12 +207,6 @@ def synthesize_zd_beta(game, coeffs):
     return _synthesis("beta", game, coeffs.combine(*payoff_vectors(game)))
 
 
-@np.errstate(over="ignore")  # an infinite g pins nothing: its t_max is 0
-def _gap(omega, target):
-    """omega - target, inf where it overflows."""
-    return omega - target
-
-
 def pin_opponent_score(game, pinner, target):
     """Coefficients with which ``pinner`` fixes the opponent's score at ``target``.
 
@@ -221,7 +227,8 @@ def pin_opponent_score(game, pinner, target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
     wa, wb = payoff_vectors(game)
-    g = _gap(wb if pinner == "alpha" else wa, target)
+    with np.errstate(over="ignore"):  # an infinite g pins nothing: t_max is 0 below
+        g = (wb if pinner == "alpha" else wa) - target
     inward = (1.0 - 2.0 * delta) * g
     tol = PROB_TOL * np.abs(g).max(initial=0.0)
     sign = 1.0 if (inward >= -tol).all() else -1.0

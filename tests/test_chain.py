@@ -407,8 +407,9 @@ class TestDispatchBits:
             assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
 
-LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det", "_linalg_errstate")
+LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det")
 ERROR_STATE = ("_extobj_contextvar", "_make_extobj")  # numpy's private error-state internals
+ERROR_STATE_USERS = LAPACK_KERNELS + ("_linalg_errstate",)  # may use ERROR_STATE, nothing more
 
 
 def lapack_entries(path):
@@ -419,11 +420,16 @@ def lapack_entries(path):
     use of numpy's error-state internals, which only chain.py may import.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
-    kernels = [node for node in tree.body if path.name == "chain.py"
-               and isinstance(node, ast.FunctionDef) and node.name in LAPACK_KERNELS]
+
+    def spans(names):
+        return [(node.lineno, node.end_lineno) for node in tree.body if path.name == "chain.py"
+                and isinstance(node, ast.FunctionDef) and node.name in names]
+
+    kernels, state_users = spans(LAPACK_KERNELS), spans(ERROR_STATE_USERS)
     allowed = {"LinAlgError", "_umath_linalg"}
     entries = []
     for node in ast.walk(tree):
+        exempt = kernels
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             names = [alias.name for alias in node.names if alias.name not in allowed]
         elif isinstance(node, ast.ImportFrom):
@@ -437,10 +443,10 @@ def lapack_entries(path):
             names = [name] if routed and name.rsplit(".", 1)[-1] != "LinAlgError" else []
         elif isinstance(node, (ast.Name, ast.Attribute)):
             name = node.id if isinstance(node, ast.Name) else node.attr
-            names = [name] if name in ERROR_STATE else []
+            names, exempt = [name] if name in ERROR_STATE else [], state_users
         else:
             continue
-        if not any(k.lineno <= node.lineno <= k.end_lineno for k in kernels):
+        if not any(a <= node.lineno <= b for a, b in exempt):
             entries += [f"{path.name}:{node.lineno}: {name}" for name in names]
     return entries
 
@@ -448,7 +454,7 @@ def lapack_entries(path):
 def test_lapack_kernels_are_the_only_entry():
     # every factorization goes through the chain's three kernels, whose bits
     # TestLapackKernels pins to numpy.linalg's; only they and _linalg_errstate
-    # touch numpy's error-state internals
+    # touch numpy's error-state internals, and _linalg_errstate opens no route
     package = pathlib.Path(chain_module.__file__).parent
     assert [e for path in sorted(package.glob("*.py")) for e in lapack_entries(path)] == []
 
@@ -460,6 +466,14 @@ def test_error_state_outside_the_kernels_is_an_entry(tmp_path):
                     "token = config._extobj_contextvar.set(config._make_extobj(all='ignore'))\n")
     assert lapack_entries(path) == ["zd.py:1: _extobj_contextvar",
                                     "zd.py:3: _extobj_contextvar", "zd.py:3: _make_extobj"]
+
+
+def test_linalg_route_in_the_error_state_builder_is_an_entry(tmp_path):
+    path = tmp_path / "chain.py"
+    path.write_text("def _linalg_errstate(message):\n"
+                    "    np.linalg.svd(np.eye(2))\n"
+                    "    return _make_extobj(call=None)\n")
+    assert lapack_entries(path) == ["chain.py:2: np.linalg.svd"]
 
 
 def fresh_verified_pair(n, seed=7):
@@ -536,6 +550,28 @@ class TestErrorState:
             with pytest.raises(np.linalg.LinAlgError):
                 kernel(*args)
             assert (np.geterr(), np.geterrcall()) == before
+
+    @pytest.mark.parametrize("kernel, args, message", [
+        ("_lapack_svd", (np.eye(2),), "SVD did not converge"),
+        ("_lapack_solve", (np.eye(2), np.ones(2)), "Singular matrix")])
+    def test_state_reads_back_as_numpys_errstate(self, monkeypatch, kernel, args, message):
+        # the state built with numpy's private _make_extobj is the one np.errstate
+        # sets with numpy.linalg's settings, under any caller state
+        def read(*args, **kwargs):
+            return np.geterr(), np.getbufsize(), np.geterrcall()
+
+        def fail(err, flag):
+            raise AssertionError
+
+        monkeypatch.setattr(chain_module, "_umath_linalg",
+                            types.SimpleNamespace(svd_f=read, solve1=read))
+        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            expected = np.geterr(), np.getbufsize()
+        with np.errstate(all="raise"):
+            *got, call = getattr(chain_module, kernel)(*args)
+        assert got == list(expected)
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            call("invalid value", 8)
 
     @pytest.mark.parametrize("state", ["raise", "ignore"])
     def test_caller_state_changes_no_bit(self, state):
@@ -727,6 +763,20 @@ class TestExpectedScores:
         scores = expected_scores(make_game(big, big), p, q)
         small = expected_scores(make_game(np.ldexp(big, -k), np.ldexp(big, -k)), p, q)
         assert scores.pi_alpha == scores.pi_beta == small.pi_alpha * 2.0**k
+
+    def test_a_huge_payoff_on_a_zero_weight_state_leaves_the_score(self):
+        # alpha never plays move 1, so the states holding 1e308 weigh exactly 0:
+        # the score is v . omega to the bit, as if those payoffs were 0
+        p = make_strategy("alpha", [[0.0, 1.0]] * 4, order="alpha-major")
+        q = make_strategy("beta", [[0.25, 0.75], [1.0, 0.0], [0.5, 0.5], [0.25, 0.75]],
+                          order="alpha-major")
+        A = np.array([[1e308, 1e308], [1e-10, 3e-10]])
+        v = stationary(transition_matrix(p, q)).v
+        assert v[:2].tolist() == [0.0, 0.0]
+        scores = expected_scores(make_game(A, A.T), p, q)
+        zeroed = np.where(A > 1.0, 0.0, A)
+        assert scores == expected_scores(make_game(zeroed, zeroed.T), p, q)
+        assert scores.pi_alpha == scores.pi_beta == float(v @ A.ravel())
 
     def test_within_payoff_range(self, rng):
         game = rand_game(rng, 3, 2)

@@ -25,6 +25,7 @@ from zdgames import (
     transition_matrix,
     verify_linear_relation,
 )
+import zdgames.extortion as extortion_module
 from zdgames.extortion import CONDITION_TOL
 
 from helpers import (
@@ -414,6 +415,19 @@ def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
         p1 = extortion_strategy(game, ExtortionParams(lam, theta)).p1
         small_p1 = extortion_strategy(small, ExtortionParams(lam, math.ldexp(theta, k))).p1
         assert p1.tobytes() == small_p1.tobytes()
+
+
+def test_vectors_below_the_float_limit_keep_their_bits():
+    # only a game with max|A| >= 2^1023 is halved: below it u and w are
+    # omega - a_nn itself, to the last bit of a subnormal entry
+    A = np.array([[1.0, 1e-310], [8e307, 5e-324]])
+    game = make_symmetric(A)
+    scaled, _, u, w, s = extortion_module._extortion_vectors(game)
+    wa, wb = payoff_vectors(game)
+    assert s == 1.0 and scaled.tobytes() == A.tobytes()
+    assert u.tobytes() == (wa - A[-1, -1]).tobytes()
+    assert w.tobytes() == (wb - A[-1, -1]).tobytes()
+    assert extortion_module._extortion_vectors(make_symmetric(np.ldexp(A, 1)))[-1] == 2.0
 
 
 class TestChickenExtortion:
