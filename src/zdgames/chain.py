@@ -291,6 +291,6 @@ def expected_scores(game, p, q):
 
 
 def _scores(game, v):
-    """Both players' average payoffs v . omega, as s * v . (omega / s): see ``model._halved``."""
+    """Both players' average payoffs v . omega, as s * v . (omega / s): see ``_halved_payoffs``."""
     (wa, sa), (wb, sb) = game._halved_payoffs
     return ScorePair(float(v.dot(wa)) * sa, float(v.dot(wb)) * sb)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_ratio, _halved, _in_box, own_move_one_indicator, payoff_vectors
+from .model import _check_ratio, _in_box, own_move_one_indicator
 from .zd import _check_extortion, _check_factor, _feasible_scale, _synthesis
 
 CONDITION_TOL = 1e-12
@@ -103,34 +103,31 @@ def _require_normalized(A):
 
 
 def _extortion_vectors(game):
-    """A, sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn, and s.
+    """omega_alpha, sigma = 1 - 2*delta, u = omega_alpha - a_nn, w = omega_beta - a_nn, and s.
 
-    A, u and w are divided by s, from ``model._halved``: they stay finite at the
-    float limit, and below it s is 1 and they keep their bits.
+    All but sigma are over the game's payoff scale s, ``BimatrixGame._halved_payoffs``.
     """
-    (A, s), (wa, wb) = _halved(game.A), payoff_vectors(game)
-    nn = A[-1, -1]
+    (wa, s), (wb, _) = game._halved_payoffs
     sigma = 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n)
-    return A, sigma, wa / s - nn, wb / s - nn, s
+    return wa, sigma, wa - wa[-1], wb - wa[-1], s
 
 
-def _brackets(u, w, lam, s):
-    """The brackets E_ij = s*(u - lam*w); ValueError if one overflows."""
+def _brackets(u, w, lam):
+    """The brackets over the game's payoff scale s, E_ij/s = u - lam*w; ValueError on overflow."""
     with np.errstate(over="ignore"):
-        g = (u - lam * w) * s
+        g = u - lam * w
     if not np.isfinite(g).all():
         raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
     return g
 
 
-def _half_lines(A, sigma, u, w):
+def _half_lines(wa, sigma, u, w):
     """The one zero rule: ends U/W and masks for lam >= U/W, lam <= U/W, no lam.
 
-    A live state, max(|u|, |w|) > CONDITION_TOL * ptp(A), needs U - lam*W >= 0
+    A live state, max(|u|, |w|) > CONDITION_TOL * ptp(wa), needs U - lam*W >= 0
     with U, W = sigma*u, sigma*w; the brackets of the other states are 0.
     """
-    scaled = CONDITION_TOL * A  # scaled first, so the spread stays finite
-    live = np.maximum(np.abs(u), np.abs(w)) > scaled.max() - scaled.min()
+    live = np.maximum(np.abs(u), np.abs(w)) > CONDITION_TOL * (wa.max() - wa.min())
     U, W = sigma * u, sigma * w
     with np.errstate(all="ignore"):  # W == 0 is masked out; a huge ratio is inf
         ends = U / W
@@ -144,13 +141,14 @@ def check_extortion_factor(game, lam):
     widened to end*(1 -+ 2*CONDITION_TOL), misses it.  theta_max is then
     :func:`zdgames.zd._feasible_scale` of sigma*g, so a bracket left with the
     wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most and
-    ``extortion_strategy`` is feasible at every theta <= theta_max.
+    ``extortion_strategy`` is feasible at every theta <= theta_max.  g is taken
+    over the game's payoff scale s; ValueError if one of those brackets overflows.
     """
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
-    A, sigma, u, w, s = _extortion_vectors(game)
-    inward = sigma * _brackets(u, w, lam, s)  # < 0 at a tie
-    ends, lower, upper, failing = _half_lines(A, sigma, u, w)
+    wa, sigma, u, w, s = _extortion_vectors(game)
+    inward = sigma * _brackets(u, w, lam)  # < 0 at a tie
+    ends, lower, upper, failing = _half_lines(wa, sigma, u, w)
     with np.errstate(over="ignore"):  # an end at the float limit widens to inf
         failing |= lower & (lam < ends * (1.0 - 2.0 * CONDITION_TOL))
         failing |= upper & (lam > ends * (1.0 + 2.0 * CONDITION_TOL))
@@ -160,7 +158,7 @@ def check_extortion_factor(game, lam):
                      (divmod(k, game.n) for k in failing.nonzero()[0].tolist()))
     if violated:
         return ConditionReport(False, violated, 0.0)
-    return ConditionReport(True, (), _feasible_scale(inward))
+    return ConditionReport(True, (), _feasible_scale(inward, s))
 
 
 def extortion_factor_bounds(game):
@@ -183,7 +181,7 @@ def extortion_strategy(game, params):
     """
     _require_symmetric(game)
     *_, u, w, s = _extortion_vectors(game)
-    return _synthesis("alpha", game, _brackets(u, w, params.lam, s), params.theta)
+    return _synthesis("alpha", game, _brackets(u, w, params.lam), params.theta * s)
 
 
 def theta_max(game, lam):
@@ -201,7 +199,7 @@ def theta_max(game, lam):
     ------
     ValueError
         If ``lam`` is not admissible for the game, or so large that a
-        bracket E_ij overflows.
+        bracket over the game's payoff scale s, E_ij/s, overflows.
     """
     report = check_extortion_factor(game, lam)
     if not report.ok:

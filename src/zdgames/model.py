@@ -45,14 +45,6 @@ def _check_moves(n, m):
         raise ValueError(f"each player needs at least 2 strategies, got n={n}, m={m}")
 
 
-def _halved(f):
-    """(f / 2, 2.0) if max|f| >= 2^1023, else (f, 1.0); halving is exact but on subnormals.
-
-    Past 2^1023 a difference or a running sum can overflow though its result does not.
-    """
-    return (_frozen(f / 2.0), 2.0) if float(np.abs(f).max()) >= 2.0**1023 else (f, 1.0)
-
-
 def _frozen(a):
     """``a`` itself, made read-only: for an array or view the caller just made."""
     a.setflags(write=False)
@@ -116,8 +108,13 @@ class BimatrixGame:
 
     @cached_property
     def _halved_payoffs(self):
-        """:func:`_halved` of each of :func:`payoff_vectors`' pair."""
-        return tuple(map(_halved, self._payoffs))
+        """Each of :func:`payoff_vectors`' pair as (omega / s, s), s the game's payoff scale.
+
+        s = 2 if max|omega| >= 2^1023, where a difference or a running sum can overflow
+        though its result does not, else 1; halving is exact but on subnormals.
+        """
+        return tuple((_frozen(f / 2.0), 2.0) if float(np.abs(f).max()) >= 2.0**1023 else (f, 1.0)
+                     for f in self._payoffs)
 
 
 def make_game(A, B):

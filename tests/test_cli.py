@@ -247,8 +247,8 @@ class TestExtort:
         assert "overflows" in err and "RuntimeWarning" not in err
 
     def test_payoffs_near_the_float_limit(self, tmp_path, capsys):
-        # a_21 - a_22 overflows, yet the brackets up to lambda 1.39 are finite and the
-        # interval is [1, 2]
+        # a_21 - a_22 overflows, yet the brackets over the game's payoff scale are
+        # finite and the interval is [1, 2]
         path = tie_game(tmp_path, [[1.0, 0.5], [1e308, -1e308]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -393,6 +393,21 @@ class TestSimulate:
                      "--rounds", "1000", "--lambda", "2"])
         assert code == 2
         assert "ratio undefined" in capsys.readouterr().err
+
+    def test_lambda_hat_at_the_float_limit(self, tmp_path, capsys):
+        # pi - a_nn is about -3.4e308 for both players, past the float limit, but
+        # over the game's payoff scale it is finite and the ratio is exactly 1
+        documents = {"g.json": {"n": 2, "m": 2, "A": [[-1.7e308, -1.7e308], [-1.7e308, 1.7e308]]},
+                     "p.json": {"player": "alpha", "n": 2, "m": 2, "order": "alpha-major",
+                                "rows": [[0.9, 0.1]] * 4},
+                     "q.json": {"player": "beta", "n": 2, "m": 2, "order": "alpha-major",
+                                "rows": [[0.8, 0.2]] * 4}}
+        for name, document in documents.items():
+            (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
+        code = main(["simulate", *(str(tmp_path / name) for name in documents),
+                     "--rounds", "20000", "--lambda", "1"])
+        assert code == 0
+        assert "lambda_hat = 1.0 (configured lambda 1.0)" in capsys.readouterr().out
 
     def test_near_degenerate_skips_comparison(self, tmp_path, capsys):
         code = main(["simulate", *near_degenerate_paths(tmp_path), "--rounds", "1000"])

@@ -2,16 +2,17 @@
 
 Every run of the six subcommands ends in exit 0, 1 (no such strategy),
 2 (a degenerate chain) or 3 (bad input), never in a traceback, and prints
-no numpy warning.  The grammar keeps most documents well formed and fills
-them with extreme numbers (the float limit, subnormals, signed zeros), so
-the numeric paths are reached; a few get one structural defect, and a few
-arguments are not finite.
+no numpy warning; a run that exits 0 prints no nan.  The grammar keeps most
+documents well formed and fills them with extreme numbers (the float limit,
+subnormals, signed zeros), so the numeric paths are reached; a few get one
+structural defect, and a few arguments are not finite.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -124,22 +125,22 @@ def invocations(draw):
 
 
 def run(files, argv):
-    """Exit code, stderr and caught warnings of ``main(argv)`` run among ``files``."""
+    """Exit code, stdout, stderr and caught warnings of ``main(argv)`` run among ``files``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         for name, document in files.items():
             (root / name).write_text(json.dumps(document), encoding="utf-8")
         argv = [str(root / arg) if arg in files else arg.replace("=out.", f"={root}/out.")
                 for arg in argv]
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-    return code, err.getvalue(), [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
 OVERFLOWING_SUBTRACTION = {"n": 2, "m": 2, "A": [[1.0, 0.5], [1e308, -1e308]]}
@@ -147,16 +148,23 @@ ROWS = [[0.25, 0.75], [1.0, 0.0], [0.5, 0.5], [0.25, 0.75]]
 AT_THE_LIMIT = {"game.json": {"n": 2, "m": 2, "A": [[-BIG, -BIG], [-BIG, -BIG]]},
                 "p.json": {"player": "alpha", "n": 2, "m": 2, "order": "alpha-major", "rows": ROWS},
                 "q.json": {"player": "beta", "n": 2, "m": 2, "order": "alpha-major", "rows": ROWS}}
+OVERFLOWING_RATIO = {
+    "game.json": {"n": 2, "m": 2, "A": [[-1.7e308, -1.7e308], [-1.7e308, 1.7e308]]},
+    "p.json": {"player": "alpha", "n": 2, "m": 2, "order": "alpha-major", "rows": [[0.9, 0.1]] * 4},
+    "q.json": {"player": "beta", "n": 2, "m": 2, "order": "alpha-major", "rows": [[0.8, 0.2]] * 4}}
 
 
 @example(({"game.json": OVERFLOWING_SUBTRACTION}, ["extort", "--bounds", "--", "game.json"]))
 @example(({"game.json": OVERFLOWING_SUBTRACTION},
           ["scan", "--lambda-grid=1,2", "--opponents=2", "--out=out.csv", "--", "game.json"]))
 @example((AT_THE_LIMIT, ["analyze", "--", "game.json", "p.json", "q.json"]))
+@example((OVERFLOWING_RATIO, ["simulate", "--rounds=50", "--lambda=1", "--",
+                              "game.json", "p.json", "q.json"]))
 @given(invocations())
 def test_every_run_ends_in_a_contract_exit_code(invocation):
-    code, err, caught = run(*invocation)
+    code, out, err, caught = run(*invocation)
     event(f"exit {code}")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err and "Warning" not in err
     assert caught == []
+    assert code != 0 or not re.search(r"\bnan\b", out)

@@ -15,22 +15,26 @@ import contextlib
 import io
 import math
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zdgames import (
     DegenerateDenominator,
+    ExtortionParams,
     NoFeasiblePin,
     NonUniqueStationary,
     SimulationConfig,
     ZDCoefficients,
     ZDGamesError,
+    check_extortion_factor,
     expected_scores,
     extortion_factor_bounds,
+    extortion_strategy,
     make_game,
     make_strategy,
     make_symmetric,
@@ -47,7 +51,12 @@ from zdgames import (
 )
 from zdgames.cli import main
 
-from helpers import near_pure_pairs, rand_mixed_pure_strategy, seeded_pairs
+from helpers import (
+    assert_scaled_theta_max,
+    near_pure_pairs,
+    rand_mixed_pure_strategy,
+    seeded_pairs,
+)
 
 
 @given(near_pure_pairs())
@@ -209,8 +218,9 @@ HUGE = make_symmetric([[1e308, -1e308], [1e308, 0.0]])
 
 
 def pin_at_the_limit():
+    # max|A| < 2^1023, so the game's payoff scale is 1 and g = 8e307 + 1.7e308 overflows
     with pytest.raises(NoFeasiblePin):
-        pin_opponent_score(HUGE, "alpha", 1e308)
+        pin_opponent_score(make_symmetric([[8e307, -8e307], [8e307, 0.0]]), "alpha", -1.7e308)
 
 
 def bounds_at_the_limit():
@@ -238,3 +248,74 @@ def combination_at_the_limit():
                          ids=["pin", "bounds", "synthesis", "combination"])
 def test_overflow_at_the_float_limit_gets_the_library_verdict(check):
     check()
+
+
+# payoffs of either sign with magnitude in [0.5, 1] times the largest float
+AT_THE_LIMIT = st.builds(lambda x, sign: sign * x * sys.float_info.max,
+                         st.floats(0.5, 1.0), st.sampled_from([1.0, -1.0]))
+POWERS = st.sampled_from([1, 3, 1000])  # the copies are scaled by 2^-k
+
+
+def tables(rows, cols):
+    return st.lists(st.lists(AT_THE_LIMIT, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(np.array)
+
+
+@st.composite
+def pins_at_the_limit(draw):
+    """(A, B, pinner, target), the target inside the range of the opponent's payoffs."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    A, B = draw(tables(n, m)), draw(tables(m, n))
+    pinner = draw(st.sampled_from(["alpha", "beta"]))
+    opponent = B if pinner == "alpha" else A
+    return A, B, pinner, draw(st.floats(opponent.min(), opponent.max()))
+
+
+def pinned(game, pinner, target):
+    """(p1, weight) of the pin, or None when there is none."""
+    try:
+        result, coeffs = pin_opponent_score(game, pinner, target)
+    except NoFeasiblePin:
+        return None
+    return result.p1, coeffs.b if pinner == "alpha" else coeffs.a
+
+
+@example((HUGE.A, HUGE.B, "alpha", 1e308), 1)
+@given(pins_at_the_limit(), POWERS)
+def test_a_pin_at_the_float_limit_is_its_scaled_copys(problem, k):
+    # the pins of a game and of its copy scaled by 2^-k agree: same verdict, the
+    # same p1 bits and the weight times 2^k, unless the copy's weight is capped at 16
+    A, B, pinner, target = problem
+    full = pinned(make_game(A, B), pinner, target)
+    small = pinned(make_game(np.ldexp(A, -k), np.ldexp(B, -k)), pinner, math.ldexp(target, -k))
+    assert (full is None) == (small is None)
+    if full is not None and abs(small[1]) < 16.0:
+        assert full[0].tobytes() == small[0].tobytes()
+        assert small[1] == math.ldexp(full[1], k)
+
+
+@given(tables(3, 3), st.integers(2, 3), st.floats(-1e-12, 1.0 + 1e-12), POWERS)
+def test_extortion_at_the_float_limit_is_its_scaled_copys(A, n, share, k):
+    # wherever the full-scale check does not raise (lam*w overflows), the game
+    # and its copy scaled by 2^-k give the same verdict, theta_max times 2^k and
+    # the same strategy bits at theta and theta times 2^k, feasible at theta_max;
+    # lam is drawn from the admissible interval when there is one, its ends included
+    A = A[:n, :n]
+    A[0, 0], A[-1, -1] = max(A[0, 0], A[-1, -1]), min(A[0, 0], A[-1, -1])
+    game, small = make_symmetric(A), make_symmetric(np.ldexp(A, -k))
+    bounds = extortion_factor_bounds(game)
+    low, high = (bounds.lambda_min, min(bounds.lambda_max, 4.0)) if bounds.feasible else (1.0, 4.0)
+    lam = low + share * (high - low)
+    try:
+        report = check_extortion_factor(game, lam)
+    except ValueError:
+        return
+    small_report = check_extortion_factor(small, lam)
+    assert (report.ok, report.violated) == (small_report.ok, small_report.violated)
+    assert_scaled_theta_max(report.theta_max, small_report.theta_max, k)
+    if report.ok:
+        theta = report.theta_max if math.isfinite(report.theta_max) else 1.0
+        result = extortion_strategy(game, ExtortionParams(lam, theta))
+        small_result = extortion_strategy(small, ExtortionParams(lam, math.ldexp(theta, k)))
+        assert result.feasible and small_result.feasible
+        assert result.p1.tobytes() == small_result.p1.tobytes()

@@ -31,6 +31,7 @@ from zdgames.extortion import CONDITION_TOL
 from helpers import (
     SCALES,
     SHIFTS,
+    assert_scaled_theta_max,
     extortable_symmetric_3x3,
     n2_admissible,
     payoff_grid,
@@ -400,21 +401,36 @@ def test_bracket_route_is_exact_under_shift_and_power_of_two_scale(problem, c, k
 
 @pytest.mark.parametrize("k", [0, 500, 1000])
 def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
-    # a_21 - a_22 = 2e308 overflows, though every bracket up to lam = 1.39 is
-    # finite: the exact interval is [1, 2], and the game and its copy scaled
-    # by 2^-k give the same verdicts, theta_max times 2^k and the same bits
+    # a_21 - a_22 = 2e308 overflows, and so does E_12 = 1e308 - lam*2e308 past
+    # lam = 1.399, but over the game's payoff scale s = 2 every bracket is finite
+    # until lam*w overflows past lam = 1.7977: the exact interval is [1, 2], and
+    # the game and its copy scaled by 2^-k give the same verdicts, theta_max
+    # times 2^k (see assert_scaled_theta_max) and the same bits
     A = np.array([[1.0, 0.5], [1e308, -1e308]])
     game, small = make_symmetric(A), make_symmetric(np.ldexp(A, -k))
     assert extortion_factor_bounds(game) == extortion_factor_bounds(small) == \
         FactorBounds(1.0, 2.0, True)
-    for lam in (1.0, 1.25):
+    for lam in (1.0, 1.25, 1.4, 1.5, 1.75):
         report, small_report = check_extortion_factor(game, lam), check_extortion_factor(small, lam)
         assert report.ok and small_report.ok
-        assert report.theta_max == math.ldexp(small_report.theta_max, -k)
+        assert_scaled_theta_max(report.theta_max, small_report.theta_max, k)
         theta = 0.5 * report.theta_max
         p1 = extortion_strategy(game, ExtortionParams(lam, theta)).p1
         small_p1 = extortion_strategy(small, ExtortionParams(lam, math.ldexp(theta, k))).p1
         assert p1.tobytes() == small_p1.tobytes()
+
+
+def test_theta_max_at_the_float_limit_keeps_a_tie_inside_the_box():
+    # lam lies in the check's band just past lambda_max, so E_21 is a tie and
+    # theta_max is its cap PROB_TOL/|E_21|, below 2^-1022; rounded once there,
+    # the strategy at theta_max stays feasible, where halving a cap already
+    # rounded over the game's scale would put E_21's entry at -1.0000000000000002e-12
+    game = make_symmetric([[-6.721651614944169e307, -7.772991812538314e307],
+                           [-6.682604397586876e307, -1.0669612778128566e308]])
+    lam = extortion_factor_bounds(game).lambda_max * (1.0 + 1.5e-12)
+    report = check_extortion_factor(game, lam)
+    assert report.ok and 0.0 < report.theta_max < 2.0**-1022
+    assert extortion_strategy(game, ExtortionParams(lam, report.theta_max)).feasible
 
 
 def test_vectors_below_the_float_limit_keep_their_bits():
@@ -422,9 +438,9 @@ def test_vectors_below_the_float_limit_keep_their_bits():
     # omega - a_nn itself, to the last bit of a subnormal entry
     A = np.array([[1.0, 1e-310], [8e307, 5e-324]])
     game = make_symmetric(A)
-    scaled, _, u, w, s = extortion_module._extortion_vectors(game)
+    first, _, u, w, s = extortion_module._extortion_vectors(game)
     wa, wb = payoff_vectors(game)
-    assert s == 1.0 and scaled.tobytes() == A.tobytes()
+    assert s == 1.0 and first.tobytes() == wa.tobytes()
     assert u.tobytes() == (wa - A[-1, -1]).tobytes()
     assert w.tobytes() == (wb - A[-1, -1]).tobytes()
     assert extortion_module._extortion_vectors(make_symmetric(np.ldexp(A, 1)))[-1] == 2.0

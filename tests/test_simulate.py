@@ -215,6 +215,22 @@ class TestVerifyExtortion:
                 game, p, [q], SimulationConfig(rounds=10**4, seed=1)
             )
 
+    def test_ratio_at_the_float_limit(self, rng):
+        # chicken less 0.75, scaled by 2^1024: against always-beta_1 pi_alpha - a_nn
+        # is 2^1024 * 4/3, past the float limit, but over the game's payoff scale it
+        # is finite, and each ratio is the unscaled game's to the bit
+        small = make_symmetric([[0.25, -0.25], [0.75, -0.75]])
+        game = make_symmetric(np.ldexp(small.A, 1024))
+        p = extortion_strategy(small, ExtortionParams(2.0, 0.1)).complete()
+        opponents = [always("beta", 1, 2, 2), rand_strategy(rng, "beta", 2, 2),
+                     rand_strategy(rng, "beta", 2, 2)]
+        config = SimulationConfig(rounds=10**5, seed=42)
+        estimates = verify_extortion_empirically(game, p, opponents, config)
+        small_estimates = verify_extortion_empirically(small, p, opponents, config)
+        for estimate, small_estimate in zip(estimates, small_estimates):
+            assert estimate.lambda_hat == small_estimate.lambda_hat
+            assert 1.9 < estimate.lambda_hat < 2.1
+
     def test_ratio_is_taken_about_a_nn(self, rng):
         # on PD the offset a_nn = 1 is not 0: about 0 these runs read 1.28-1.45
         game = make_symmetric([[3, 0], [5, 1]])
