@@ -22,6 +22,7 @@ tie is nonzero: ``extortion_strategy`` is feasible at every theta <= theta_max.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,8 @@ def _half_lines(wa, sigma, u, w):
     A live state, max(|u|, |w|) > CONDITION_TOL * ptp(wa), needs U - lam*W >= 0
     with U, W = sigma*u, sigma*w; the brackets of the other states are 0.
     """
-    live = np.maximum(np.abs(u), np.abs(w)) > CONDITION_TOL * (wa.max() - wa.min())
+    scaled = CONDITION_TOL * wa  # scaled first, so the spread stays finite
+    live = np.maximum(np.abs(u), np.abs(w)) > scaled.max() - scaled.min()
     U, W = sigma * u, sigma * w
     with np.errstate(all="ignore"):  # W == 0 is masked out; a huge ratio is inf
         ends = U / W
@@ -181,7 +183,8 @@ def extortion_strategy(game, params):
     """
     _require_symmetric(game)
     *_, u, w, s = _extortion_vectors(game)
-    return _synthesis("alpha", game, _brackets(u, w, params.lam), params.theta * s)
+    t = min(params.theta * s, sys.float_info.max)  # finite: a zero bracket keeps delta, not inf*0
+    return _synthesis("alpha", game, _brackets(u, w, params.lam), t)
 
 
 def theta_max(game, lam):

@@ -150,9 +150,8 @@ def _ratio(report, game, where=""):
     a_nn = float(game.A[-1, -1]) / s
     denominator = report.empirical_pi_beta / s - a_nn
     if abs(denominator) * s < RATIO_TOL:
-        raise DegenerateRatio(
-            f"{where}empirical pi_beta - a_nn = {denominator * s!r}; ratio undefined"
-        )
+        raise DegenerateRatio(f"{where}empirical pi_beta - a_nn = {denominator * s!r}; "
+                              "ratio undefined")
     return (report.empirical_pi_alpha / s - a_nn) / denominator
 
 

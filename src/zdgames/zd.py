@@ -117,12 +117,11 @@ def _synthesis(player, game, g, t=1.0):
 def _feasible_scale(inward, s):
     """Largest t >= 0 whose delta + t*s*g passes the box test, :func:`model._in_box`.
 
-    ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta
-    into [0, 1] as t grows: such an entry binds t at 1/(s*inward).  A negative entry
-    (a tie) moves out of [0, 1] and binds t at PROB_TOL/(s*|inward|), rounded down
-    so that t*s*|inward| stays within PROB_TOL.  Every smaller t >= 0 passes too
-    when g is finite.  Returns ``math.inf`` when nothing binds.  1/s and PROB_TOL/s
-    are exact for s a power of two, so a subnormal t is rounded once.
+    ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta into [0, 1] as
+    t grows: such an entry binds t at 1/(s*inward).  A negative entry (a tie) moves out of
+    [0, 1] and binds t at PROB_TOL/(s*|inward|), rounded down so that t*s*|inward| stays
+    within PROB_TOL.  Every smaller t >= 0 passes too when g is finite.  Returns ``math.inf``
+    when nothing binds.  1/s and PROB_TOL/s are exact, so a subnormal t is rounded once.
     """
     step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
     cap = PROB_TOL / s / tie if tie else math.inf
@@ -134,10 +133,9 @@ def _feasible_scale(inward, s):
 def _scaled(f):
     """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
 
-    Evaluating on f / s and multiplying by s keeps payoffs near the float
-    limit from overflowing inside LAPACK; dividing by 2^k is exact.  Halving f, as
-    ``BimatrixGame._halved_payoffs`` halves the payoffs, is not enough: on 13,703
-    random pairs at the float limit it gave inf or NaN on 1,034.
+    Evaluating on f / s and multiplying by s keeps payoffs near the float limit from
+    overflowing inside LAPACK; dividing by 2^k is exact.  Halving f, as ``_halved_payoffs``
+    halves the payoffs, is not enough: on 13,703 float-limit pairs it gave inf or NaN on 1,034.
     """
     size = float(np.abs(f).max())
     if not math.isfinite(size):

@@ -157,6 +157,11 @@ OVERFLOWING_RATIO = {
 @example(({"game.json": OVERFLOWING_SUBTRACTION}, ["extort", "--bounds", "--", "game.json"]))
 @example(({"game.json": OVERFLOWING_SUBTRACTION},
           ["scan", "--lambda-grid=1,2", "--opponents=2", "--out=out.csv", "--", "game.json"]))
+@example(({"game.json": OVERFLOWING_SUBTRACTION},
+          ["extort", "--lambda=1", "--theta=1e308", "--", "game.json"]))
+@example(({"game.json": OVERFLOWING_SUBTRACTION},
+          ["scan", "--lambda-grid=1", "--theta-grid=1e308", "--opponents=2", "--out=out.csv",
+           "--", "game.json"]))
 @example((AT_THE_LIMIT, ["analyze", "--", "game.json", "p.json", "q.json"]))
 @example((OVERFLOWING_RATIO, ["simulate", "--rounds=50", "--lambda=1", "--",
                               "game.json", "p.json", "q.json"]))

@@ -405,7 +405,8 @@ def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
     # lam = 1.399, but over the game's payoff scale s = 2 every bracket is finite
     # until lam*w overflows past lam = 1.7977: the exact interval is [1, 2], and
     # the game and its copy scaled by 2^-k give the same verdicts, theta_max
-    # times 2^k (see assert_scaled_theta_max) and the same bits
+    # times 2^k and the same bits; at lam = 1.4 the copy's theta_max is
+    # rounded twice and lands one subnormal step off (see assert_scaled_theta_max)
     A = np.array([[1.0, 0.5], [1e308, -1e308]])
     game, small = make_symmetric(A), make_symmetric(np.ldexp(A, -k))
     assert extortion_factor_bounds(game) == extortion_factor_bounds(small) == \
@@ -413,11 +414,23 @@ def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
     for lam in (1.0, 1.25, 1.4, 1.5, 1.75):
         report, small_report = check_extortion_factor(game, lam), check_extortion_factor(small, lam)
         assert report.ok and small_report.ok
-        assert_scaled_theta_max(report.theta_max, small_report.theta_max, k)
+        if lam != 1.4:
+            assert report.theta_max == math.ldexp(small_report.theta_max, -k)
+        else:
+            assert_scaled_theta_max(report.theta_max, small_report.theta_max, k)
         theta = 0.5 * report.theta_max
         p1 = extortion_strategy(game, ExtortionParams(lam, theta)).p1
         small_p1 = extortion_strategy(small, ExtortionParams(lam, math.ldexp(theta, k))).p1
         assert p1.tobytes() == small_p1.tobytes()
+
+
+def test_a_scale_past_half_the_float_limit_leaves_zero_brackets_at_delta():
+    # theta*s overflows at s = 2; the zero brackets E_11 and E_22 keep delta, not inf*0
+    game = make_symmetric([[1.0, 0.5], [1e308, -1e308]])
+    result = extortion_strategy(game, ExtortionParams(1.0, 1e308))
+    assert not result.feasible
+    assert (result.p1[0], result.p1[-1]) == (1.0, 0.0)
+    assert [value for _, value in result.violations] == [-math.inf, math.inf]
 
 
 def test_theta_max_at_the_float_limit_keeps_a_tie_inside_the_box():
