@@ -121,11 +121,6 @@ def _lapack_solve(a, b):
         _extobj_contextvar.reset(token)
 
 
-def _lapack_det(a):
-    """``np.linalg.det(a)`` likewise, which sets no error state."""
-    return _umath_linalg.det(a, signature="d->d")
-
-
 @dataclass(frozen=True, eq=False)
 class StationaryDistribution:
     """The unique stationary vector v (v P = v, sum 1) of a corank-1 chain."""

@@ -113,13 +113,15 @@ def _extortion_vectors(game):
     return wa, sigma, wa - wa[-1], wb - wa[-1], s
 
 
-def _brackets(u, w, lam):
-    """The brackets over the game's payoff scale s, E_ij/s = u - lam*w; ValueError on overflow."""
+def _brackets(u, w, lam, s):
+    """(E_ij/s', s') over s' = s, or 2s where u - lam*w overflows; ValueError if E_ij/s does."""
     with np.errstate(over="ignore"):
         g = u - lam * w
-    if not np.isfinite(g).all():
-        raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
-    return g
+        if not np.isfinite(g).all():
+            g, s = u / 2.0 - lam * (w / 2.0), 2.0 * s
+            if not np.isfinite(2.0 * g).all():
+                raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
+    return g, s
 
 
 def _half_lines(wa, sigma, u, w):
@@ -144,12 +146,12 @@ def check_extortion_factor(game, lam):
     :func:`zdgames.zd._feasible_scale` of sigma*g, so a bracket left with the
     wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most and
     ``extortion_strategy`` is feasible at every theta <= theta_max.  g is taken
-    over the game's payoff scale s; ValueError if one of those brackets overflows.
+    over the scale :func:`_brackets` returns; ValueError if a bracket E_ij/s overflows.
     """
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
     wa, sigma, u, w, s = _extortion_vectors(game)
-    inward = sigma * _brackets(u, w, lam)  # < 0 at a tie
+    g, s = _brackets(u, w, lam, s)
     ends, lower, upper, failing = _half_lines(wa, sigma, u, w)
     with np.errstate(over="ignore"):  # an end at the float limit widens to inf
         failing |= lower & (lam < ends * (1.0 - 2.0 * CONDITION_TOL))
@@ -160,7 +162,7 @@ def check_extortion_factor(game, lam):
                      (divmod(k, game.n) for k in failing.nonzero()[0].tolist()))
     if violated:
         return ConditionReport(False, violated, 0.0)
-    return ConditionReport(True, (), _feasible_scale(inward, s))
+    return ConditionReport(True, (), _feasible_scale(sigma * g, s))  # sigma*g < 0 at a tie
 
 
 def extortion_factor_bounds(game):
@@ -183,8 +185,9 @@ def extortion_strategy(game, params):
     """
     _require_symmetric(game)
     *_, u, w, s = _extortion_vectors(game)
+    g, s = _brackets(u, w, params.lam, s)
     t = min(params.theta * s, sys.float_info.max)  # finite: a zero bracket keeps delta, not inf*0
-    return _synthesis("alpha", game, _brackets(u, w, params.lam), t)
+    return _synthesis("alpha", game, g, t)
 
 
 def theta_max(game, lam):

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import _chain, _check_pair, _cramer, _lapack_det, _lapack_solve, expected_scores
+from .chain import _chain, _check_pair, _cramer, _lapack_solve, cofactor_row, expected_scores
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -134,8 +134,8 @@ def _scaled(f):
     """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
 
     Evaluating on f / s and multiplying by s keeps payoffs near the float limit from
-    overflowing inside LAPACK; dividing by 2^k is exact.  Halving f, as ``_halved_payoffs``
-    halves the payoffs, is not enough: on 13,703 float-limit pairs it gave inf or NaN on 1,034.
+    overflowing; dividing by 2^k is exact.  Halving f, as ``_halved_payoffs`` does, is not
+    enough for :func:`_target`'s solve: on 13,703 float-limit pairs it gave inf or NaN on 1,034.
     """
     size = float(np.abs(f).max())
     if not math.isfinite(size):
@@ -147,7 +147,8 @@ def _scaled(f):
 def press_dyson_determinant(p, q, f):
     """Evaluate D(p, q, f), the determinant of P - I with its final column f.
 
-    Expanding along that column, D(p, q, f) = ``cofactor_row(P).c @ f``.
+    Expanding along that column, D(p, q, f) = c . f, c the row :func:`chain.cofactor_row`
+    reads from the chain's kept SVD, so D(p, q, 1) has the bits of ``c.sum()``.
     Only ratios of two D values are meaningful.
     """
     f = np.asarray(f, dtype=float)
@@ -155,9 +156,7 @@ def press_dyson_determinant(p, q, f):
         raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
     f, s = _scaled(f)
     _check_pair(p, q)
-    D = _chain(p, q)._shifted.copy()
-    D[:, -1] = f
-    return float(_lapack_det(D)) * s
+    return float(np.add.reduce(cofactor_row(_chain(p, q)).c * f)) * s
 
 
 def score_combination(game, p, q, coeffs):

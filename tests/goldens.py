@@ -7,8 +7,9 @@ repository root:
 
 Each file is regenerated in memory and compared with the file at tolerance
 0.  For every field (dotted object keys, list positions dropped) the check
-prints the values changed out of those recorded and the largest relative
-change, and it exits 1 if any file's bytes differ.  ``--write`` rewrites
+prints the values changed out of those recorded, the largest relative
+change over nonzero records and the largest absolute change over records
+of 0, and it exits 1 if any file's bytes differ.  ``--write`` rewrites
 the files instead; use it only when an output is meant to change.
 
 Each golden owns its seeded inputs and the functions that compute its
@@ -528,15 +529,24 @@ def _leaves(node, path):
         yield path, node
 
 
-def _relative(want, got):
-    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (want, got))
-    if numbers and want != 0 and math.isfinite(want) and math.isfinite(got):
-        return abs(got - want) / abs(want)
-    return math.inf
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _change(want, got):
+    """(relative change, 0.0), or (0.0, absolute change) where ``want`` is the number 0.
+
+    Either change is inf where the two values are not finite numbers.
+    """
+    finite = all(_number(x) and math.isfinite(x) for x in (want, got))
+    size = abs(got - want) if finite else math.inf
+    if _number(want) and want == 0:
+        return 0.0, size
+    return (size / abs(want) if finite else math.inf), 0.0
 
 
 def _changes(want, got, path):
-    """(path, relative change) for each recorded value ``got`` does not reproduce."""
+    """(path, relative, absolute change) of each recorded value ``got`` does not reproduce."""
     if type(want) is dict and type(got) is dict and want.keys() == got.keys():
         for key in want:
             yield from _changes(want[key], got[key], path + (key,))
@@ -545,38 +555,40 @@ def _changes(want, got, path):
             yield from _changes(w, g, path)
     elif any(isinstance(x, (dict, list)) for x in (want, got)):
         # a changed shape: every value recorded under it counts as changed
-        for leaf, _ in list(_leaves(want, path)) or [(path, None)]:
-            yield leaf, math.inf
+        for leaf, value in list(_leaves(want, path)) or [(path, None)]:
+            yield leaf, *_change(value, None)
     elif json.dumps(want) != json.dumps(got):
-        yield path, _relative(want, got)
+        yield path, *_change(want, got)
 
 
 def drift(want, got):
-    """Per field: [values changed, values recorded, largest relative change].
+    """Per field: [values changed, values recorded, largest relative change, largest at 0].
 
     A field is the dotted object keys leading to a value, list positions
     dropped, so ``scaled.combination`` counts one value per record and
     scale.  A value is changed unless it writes the same JSON text, so 0.0 and -0.0
-    differ.  The relative change is inf where the two values are not finite
-    numbers with a nonzero recorded one, or where the shape changed.
+    differ.  The relative change is taken over nonzero recorded values, and
+    where a recorded value is 0 the absolute change is reported separately,
+    so one moved zero does not hide the others' size.  Either is inf where
+    the two values are not finite numbers, or where the shape changed.
     """
-    fields = collections.defaultdict(lambda: [0, 0, 0.0])
+    fields = collections.defaultdict(lambda: [0, 0, 0.0, 0.0])
     for path, _ in _leaves(want, ()):
         fields[".".join(path)][1] += 1
-    for path, rel in _changes(want, got, ()):
+    for path, rel, at_zero in _changes(want, got, ()):
         field = fields[".".join(path)]
         field[0] += 1
-        field[2] = max(field[2], rel)
+        field[2], field[3] = max(field[2], rel), max(field[3], at_zero)
     return dict(fields)
 
 
 def compare(name, recorded_text, fresh_text):
     """Print the per-field drift of one golden; True if the texts are the same bytes."""
     fields = drift(json.loads(recorded_text), json.loads(fresh_text))
-    for field, (changed, total, largest) in fields.items():
-        print(f"{name} {field} {changed}/{total} {largest:.2g}")
+    for field, (changed, total, rel, at_zero) in fields.items():
+        print(f"{name} {field} {changed}/{total} {rel:.2g} at-zero {at_zero:.2g}")
     same = recorded_text == fresh_text
-    if not same and not any(changed for changed, _, _ in fields.values()):
+    if not same and not any(changed for changed, *_ in fields.values()):
         print(f"{name}: same values, different layout")
     print(f"{name}: {'identical' if same else 'DIFFERS'}")
     return same

@@ -57,6 +57,21 @@ def rand_mixed_pure_strategy(rng, player, n, m, mixed_share):
     return make_strategy(player, rows, order="alpha-major")
 
 
+def near_identity_rows(k, eps):
+    """k x k rows that keep the move with probability 1 - eps, else switch uniformly."""
+    return (1.0 - eps) * np.eye(k) + eps / (k - 1) * (1.0 - np.eye(k))
+
+
+def lazy_walk(k, eps, seed=0):
+    """k x k game with normal payoffs; each player switches with probability eps."""
+    rng = np.random.default_rng(seed)
+    game = make_game(rng.normal(size=(k, k)), rng.normal(size=(k, k)))
+    rows = near_identity_rows(k, eps)
+    p = make_strategy("alpha", np.repeat(rows, k, axis=0), order="alpha-major")
+    q = make_strategy("beta", np.tile(rows, (k, 1)), order="alpha-major")
+    return game, p, q
+
+
 # a 3x3 pair from the near-pure generator (seed 12, draw 150) whose chain
 # defeats double precision: P - I has one tiny singular value (2.5e-18, the
 # next is 2.3e-8), so the chain passes as unique, yet the LU solve and the

@@ -360,8 +360,7 @@ class TestLapackKernels:
 
     def kernel_pairs(self, a, b):
         return [(chain_module._lapack_svd, np.linalg.svd, (a,)),
-                (chain_module._lapack_solve, np.linalg.solve, (a, b)),
-                (chain_module._lapack_det, np.linalg.det, (a,))]
+                (chain_module._lapack_solve, np.linalg.solve, (a, b))]
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_bits_match_numpy_linalg(self, rng, n):
@@ -407,7 +406,7 @@ class TestDispatchBits:
             assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
 
-LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve", "_lapack_det")
+LAPACK_KERNELS = ("_lapack_svd", "_lapack_solve")
 ERROR_STATE = ("_extobj_contextvar", "_make_extobj")  # numpy's private error-state internals
 ERROR_STATE_USERS = LAPACK_KERNELS + ("_linalg_errstate",)  # may use ERROR_STATE, nothing more
 
@@ -452,7 +451,7 @@ def lapack_entries(path):
 
 
 def test_lapack_kernels_are_the_only_entry():
-    # every factorization goes through the chain's three kernels, whose bits
+    # every factorization goes through the chain's two kernels, whose bits
     # TestLapackKernels pins to numpy.linalg's; only they and _linalg_errstate
     # touch numpy's error-state internals, and _linalg_errstate opens no route
     package = pathlib.Path(chain_module.__file__).parent
@@ -466,6 +465,14 @@ def test_error_state_outside_the_kernels_is_an_entry(tmp_path):
                     "token = config._extobj_contextvar.set(config._make_extobj(all='ignore'))\n")
     assert lapack_entries(path) == ["zd.py:1: _extobj_contextvar",
                                     "zd.py:3: _extobj_contextvar", "zd.py:3: _make_extobj"]
+
+
+def test_a_determinant_kernel_is_an_entry(tmp_path):
+    # D(p, q, f) reads the cofactor row: a det kernel in chain.py is no longer exempt
+    path = tmp_path / "chain.py"
+    path.write_text("def _lapack_det(a):\n"
+                    "    return _umath_linalg.det(a, signature='d->d')\n")
+    assert lapack_entries(path) == ["chain.py:2: _umath_linalg.det"]
 
 
 def test_linalg_route_in_the_error_state_builder_is_an_entry(tmp_path):

@@ -23,7 +23,7 @@ from zdgames import (
 )
 from zdgames.cli import main
 
-from helpers import near_degenerate_3x3, rand_strategy
+from helpers import lazy_walk, near_degenerate_3x3, rand_strategy
 
 
 @pytest.fixture
@@ -86,6 +86,27 @@ class TestAnalyze:
         assert float(rows[0]["pi_beta"]) == 0.75
         assert rows[0]["zd_feasible"] == "True"
         assert [float(rows[0][f"v{s}"]) for s in range(4)] == [0.25] * 4
+
+    @pytest.mark.parametrize("pair", ["uniform-chicken", "lazy-walk"])
+    def test_cofactor_sum_and_determinant_print_the_same_bits(self, tmp_path, chicken_path,
+                                                              capsys, pair):
+        # both lines read one cofactor row; on the 20x20 lazy walk it underflows
+        if pair == "uniform-chicken":
+            paths = [chicken_path, *uniform_pair(tmp_path)]
+        else:
+            paths = [str(tmp_path / name) for name in ("g.json", "p.json", "q.json")]
+            game, *strategies = lazy_walk(20, 0.01)
+            save_game(game, paths[0])
+            for strategy, path in zip(strategies, paths[1:]):
+                save_strategy(strategy, path)
+        out_csv = str(tmp_path / "out.csv")
+        assert main(["analyze", *paths, "--csv", out_csv]) == 0
+        out = capsys.readouterr().out
+        total = out.split("(cofactor sum ", 1)[1].split(")", 1)[0]
+        assert f"D(p, q, 1) = {total}\n" in out
+        assert read_rows(out_csv)[0]["det_one"] == total
+        if pair == "uniform-chicken":
+            assert total == "-1.0000000000000004"
 
     def test_non_unique_chain_exits_2(self, tmp_path, chicken_path, capsys):
         p_path, q_path = repeat_pair(tmp_path)

@@ -53,6 +53,8 @@ from zdgames.cli import main
 
 from helpers import (
     assert_scaled_theta_max,
+    lazy_walk,
+    near_identity_rows,
     near_pure_pairs,
     rand_mixed_pure_strategy,
     seeded_pairs,
@@ -129,11 +131,6 @@ def test_holds_iff_unique_on_large_mixed_pure_chains():
     assert 0 < verdicts.count(False) < len(verdicts)
 
 
-def near_identity_rows(k, eps):
-    """k x k rows that keep the move with probability 1 - eps, else switch uniformly."""
-    return (1.0 - eps) * np.eye(k) + eps / (k - 1) * (1.0 - np.eye(k))
-
-
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-11])
 def test_two_closed_classes_near_identity(eps):
     # alpha never moves and beta rarely does: two closed classes of two
@@ -149,16 +146,6 @@ def test_two_closed_classes_near_identity(eps):
     assert zd_feasibility_condition(P).holds is False
     with pytest.raises(DegenerateDenominator):
         score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
-
-
-def lazy_walk(k, eps, seed=0):
-    """k x k game with normal payoffs; each player switches with probability eps."""
-    rng = np.random.default_rng(seed)
-    game = make_game(rng.normal(size=(k, k)), rng.normal(size=(k, k)))
-    rows = near_identity_rows(k, eps)
-    p = make_strategy("alpha", np.repeat(rows, k, axis=0), order="alpha-major")
-    q = make_strategy("beta", np.tile(rows, (k, 1)), order="alpha-major")
-    return game, p, q
 
 
 def assert_ratio_matches_scores(game, p, q):

@@ -403,15 +403,15 @@ def test_bracket_route_is_exact_under_shift_and_power_of_two_scale(problem, c, k
 def test_payoffs_near_the_float_limit_keep_the_scaled_results(k):
     # a_21 - a_22 = 2e308 overflows, and so does E_12 = 1e308 - lam*2e308 past
     # lam = 1.399, but over the game's payoff scale s = 2 every bracket is finite
-    # until lam*w overflows past lam = 1.7977: the exact interval is [1, 2], and
-    # the game and its copy scaled by 2^-k give the same verdicts, theta_max
-    # times 2^k and the same bits; at lam = 1.4 the copy's theta_max is
-    # rounded twice and lands one subnormal step off (see assert_scaled_theta_max)
+    # until lam*w overflows past lam = 1.7977, and over 2s up to lam = 2: the
+    # exact interval is [1, 2], and the game and its copy scaled by 2^-k give the
+    # same verdicts, theta_max times 2^k and the same bits; at lam = 1.4 the copy's
+    # theta_max is rounded twice and lands one subnormal step off (see assert_scaled_theta_max)
     A = np.array([[1.0, 0.5], [1e308, -1e308]])
     game, small = make_symmetric(A), make_symmetric(np.ldexp(A, -k))
     assert extortion_factor_bounds(game) == extortion_factor_bounds(small) == \
         FactorBounds(1.0, 2.0, True)
-    for lam in (1.0, 1.25, 1.4, 1.5, 1.75):
+    for lam in (1.0, 1.25, 1.4, 1.5, 1.75, 1.8, 1.9, 2.0):
         report, small_report = check_extortion_factor(game, lam), check_extortion_factor(small, lam)
         assert report.ok and small_report.ok
         if lam != 1.4:

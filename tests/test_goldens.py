@@ -28,7 +28,7 @@ def test_registry_owns_every_golden_file():
 def test_unchanged_copy_compares_clean(capsys):
     fields = goldens.drift(EXACT, copy.deepcopy(EXACT))
     assert changed(fields) == {}
-    assert fields["scaled.combination"] == [0, 180, 0.0]
+    assert fields["scaled.combination"] == [0, 180, 0.0, 0.0]
     assert goldens.render(EXACT) == TEXT
     assert goldens.compare(NAME, TEXT, goldens.render(copy.deepcopy(EXACT)))
     assert capsys.readouterr().out.endswith(f"{NAME}: identical\n")
@@ -40,10 +40,10 @@ def test_one_ulp_is_one_changed_value(capsys):
     fresh[0]["scaled"][0]["determinant"] = float(np.nextafter(want, math.inf))
     rel = (fresh[0]["scaled"][0]["determinant"] - want) / abs(want)
     assert 1e-16 < rel <= 2.0**-52
-    assert changed(goldens.drift(EXACT, fresh)) == {"scaled.determinant": [1, 180, rel]}
+    assert changed(goldens.drift(EXACT, fresh)) == {"scaled.determinant": [1, 180, rel, 0.0]}
     assert not goldens.compare(NAME, TEXT, goldens.render(fresh))
     out = capsys.readouterr().out
-    assert f"{NAME} scaled.determinant 1/180 {rel:.2g}\n" in out
+    assert f"{NAME} scaled.determinant 1/180 {rel:.2g} at-zero 0\n" in out
     assert out.endswith(f"{NAME}: DIFFERS\n")
 
 
@@ -54,10 +54,30 @@ def test_verdict_and_length_changes_are_reported():
     fresh[0]["holds"] = not fresh[0]["holds"]
     fresh[1]["c"].pop()
     assert changed(goldens.drift(EXACT, fresh)) == {
-        "v": [1, 505, math.inf],
-        "holds": [1, 60, math.inf],
-        "c": [len(EXACT[1]["c"]), 516, math.inf],
+        "v": [1, 505, math.inf, 0.0],
+        "holds": [1, 60, math.inf, 0.0],
+        "c": [len(EXACT[1]["c"]), 516, math.inf, 0.0],
     }
+
+
+def test_a_moved_zero_is_an_absolute_change(capsys):
+    # a recorded 0.0 has no relative change: its move is reported apart, and
+    # the nonzero records' largest relative change stays visible beside it
+    want = copy.deepcopy(EXACT)
+    want[11]["scaled"][0]["determinant"] = 0.0
+    fresh = copy.deepcopy(want)
+    fresh[11]["scaled"][0]["determinant"] = 1.2e-17
+    before = want[0]["scaled"][0]["determinant"]
+    fresh[0]["scaled"][0]["determinant"] = before * (1.0 + 2.0**-50)
+    rel = abs(fresh[0]["scaled"][0]["determinant"] - before) / abs(before)
+    assert changed(goldens.drift(want, fresh)) == {"scaled.determinant": [2, 180, rel, 1.2e-17]}
+    fresh = copy.deepcopy(want)
+    fresh[11]["scaled"][0]["determinant"] = -0.0
+    assert changed(goldens.drift(want, fresh)) == {"scaled.determinant": [1, 180, 0.0, 0.0]}
+    fresh[11]["scaled"][0]["determinant"] = "DegenerateDenominator"
+    assert changed(goldens.drift(want, fresh)) == {"scaled.determinant": [1, 180, 0.0, math.inf]}
+    assert not goldens.compare(NAME, goldens.render(want), goldens.render(fresh))
+    assert f"{NAME} scaled.determinant 1/180 0 at-zero inf\n" in capsys.readouterr().out
 
 
 def test_layout_change_alone_fails(capsys):

@@ -5,7 +5,8 @@ the rows pure, where reducible chains are common.
 
 Press-Dyson: D(p, q, f) / D(p, q, 1) = v . f for the stationary vector v
 (Press & Dyson 2012), and when the corank verdict holds the cofactor row
-normalizes to v.  Affine payoffs: the scores of (sA + t, sB + t) are
+normalizes to v.  D(p, q, 1) expanded along its column of ones is that
+row's sum, bit for bit, on every chain.  Affine payoffs: the scores of (sA + t, sB + t) are
 s * score + t.
 
 Zero determinant: a feasible strategy synthesized for coefficients
@@ -35,6 +36,7 @@ from zdgames import (
     make_game,
     make_strategy,
     payoff_vectors,
+    press_dyson_determinant,
     score_combination,
     stationary,
     synthesize_zd_alpha,
@@ -124,6 +126,17 @@ def test_cofactor_row_normalizes_to_v(mixed_share, data):
     if report.holds:
         c = report.cofactors.c
         assert np.abs(c / c.sum() - stationary(P).v).max() <= COFACTOR_ATOL
+
+
+@pytest.mark.parametrize("mixed_share", [1.0, 0.5, 0.0], ids=["interior", "mixed-pure", "pure"])
+@given(data=st.data())
+def test_determinant_of_ones_is_the_cofactor_sum(mixed_share, data):
+    # one cofactor row, read from the chain's SVD, gives both: pure rows make
+    # chains of corank > 1 common, whose row and sum are round-off or zeros
+    game, p, q = data.draw(seeded_pairs(mixed_share, max_moves=4))
+    d_one = press_dyson_determinant(p, q, np.ones(p.n * p.m))
+    total = float(zd_feasibility_condition(transition_matrix(p, q)).cofactors.c.sum())
+    assert np.float64(d_one).tobytes() == np.float64(total).tobytes()
 
 
 @MIXED_SHARES
