@@ -24,7 +24,7 @@ from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import _umath_linalg
 
 from .errors import InaccurateStationary, NonUniqueStationary
-from .model import PROB_TOL, _frozen
+from .model import PROB_TOL, _frozen, _stochastic
 
 ROW_SUM_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-9
@@ -35,12 +35,12 @@ CORANK_RTOL = 1e-10
 class TransitionMatrix:
     """Row-stochastic nm x nm matrix over alpha-major joint states.
 
-    Immutable: construction computes P - I, its one SVD and its corank,
-    which decides every degenerate-chain verdict; D of D(p, q, 1) and the
-    stationary vector are computed on first use.  All are kept on the
-    instance.  Direct construction validates ``entries`` and keeps a
-    read-only copy; the chain of a strategy pair (:func:`transition_matrix`)
-    holds the joint product itself, which its checked strategies already make stochastic.
+    Immutable: construction computes P - I, D of D(p, q, 1), the SVD of P - I and its
+    corank, which decides every degenerate-chain verdict; the stationary vector is computed
+    on first use.  All are kept on the instance.  Direct construction checks ``entries`` by
+    the strategies' rule (:func:`model._stochastic`, rows summing to 1 within 1e-10) and
+    keeps a read-only copy; a strategy pair's chain (:func:`transition_matrix`) holds the
+    joint product itself, which its checked strategies already make stochastic.
     """
 
     dims: tuple
@@ -51,39 +51,26 @@ class TransitionMatrix:
         entries = np.array(self.entries, dtype=float)  # a copy, clipped in place
         if entries.shape != (n * m, n * m):
             raise ValueError(f"expected {n * m}x{n * m} matrix, got {entries.shape}")
-        lo, hi = entries.min(), entries.max()
-        if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):  # NaN fails it too
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.abs(entries.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("transition rows must sum to 1")
-        if lo < 0.0 or hi > 1.0:
-            np.clip(entries, 0.0, 1.0, out=entries)
-        _factor(self, entries)
+        _factor(self, _stochastic(entries, ROW_SUM_TOL))
 
 
 def _factor(P, entries):
-    """Set the chain ``P``'s ``entries`` (kept, not copied), P - I, its SVD and its corank.
+    """Set the chain ``P``'s ``entries`` (kept, not copied), P - I, D, the SVD and the corank.
 
-    Each is read-only: copy it before writing.  ``_corank`` counts the
-    singular values of P - I that vanish; ``_D`` and ``_stationary`` start unset.
+    Each is read-only: copy it before writing.  D, the matrix of D(p, q, 1), is P - I
+    with a last column of ones, which both LU solves read.  ``_corank`` counts the
+    singular values of P - I that vanish; ``_stationary`` starts unset.
     """
     shifted = entries - _eye(len(entries))  # x - 0.0 is x: the bits of a diagonal -= 1
+    D = shifted.copy()
+    D[:, -1] = 1.0
     svd = tuple(map(_frozen, _lapack_svd(shifted)))
     sv = svd[1].tolist()
     # round-off in P - I is set by its unit diagonal, not by sv[0], hence the floor of 1
     tol = CORANK_RTOL * max(sv[0], 1.0)
     corank = len([s for s in sv if s <= tol])  # NaN compares false: never counted
-    vars(P).update(entries=_frozen(entries), _shifted=_frozen(shifted), _svd=svd,
-                   _corank=corank, _D=None, _stationary=None)
-
-
-def _cramer(P):
-    """D of D(p, q, 1): P - I with a last column of ones, made once per chain, read-only."""
-    if P._D is None:
-        D = P._shifted.copy()
-        D[:, -1] = 1.0
-        object.__setattr__(P, "_D", _frozen(D))
-    return P._D
+    vars(P).update(entries=_frozen(entries), _shifted=_frozen(shifted), _D=_frozen(D),
+                   _svd=svd, _corank=corank, _stationary=None)
 
 
 @lru_cache(maxsize=None)  # one per chain size
@@ -161,24 +148,17 @@ def _check_pair(p, q, game=None):
         raise ValueError("strategy dimensions do not match the game")
 
 
+@lru_cache(maxsize=1)  # the last pair queried keeps its chain
 def transition_matrix(p, q):
     """The joint chain of alpha strategy ``p`` against beta ``q``.
 
-    Strategies are immutable, so the chain of one pair is built and
-    factorized once: the last pair queried keeps its chain, and every exact
-    function on that pair shares it.
+    Strategies are immutable and hash by identity, so one pair's chain is checked, built
+    and factorized once: the last pair queried keeps its chain, which every exact function
+    on that pair shares, and a pair that fails the check raises and leaves it kept.  The
+    chain skips the constructor's checks: rows in [0, 1] summing to 1 within PROB_TOL give
+    products in [0, 1] whose rows sum to 1 within ROW_SUM_TOL.
     """
     _check_pair(p, q)
-    return _chain(p, q)
-
-
-@lru_cache(maxsize=1)  # the last pair queried keeps its chain
-def _chain(p, q):
-    """The chain of a checked pair; strategies hash and compare by identity.
-
-    Skips the constructor's checks: rows in [0, 1] summing to 1 within
-    PROB_TOL give products in [0, 1] whose rows sum to 1 within ROW_SUM_TOL.
-    """
     P = object.__new__(TransitionMatrix)
     object.__setattr__(P, "dims", (p.n, p.m))
     _factor(P, _joint(p, q))
@@ -222,7 +202,7 @@ def stationary(P):
         if P._corank > 1:
             raise NonUniqueStationary(P._corank)
         try:  # solve1 copies D^T into its own buffer: the bits of a C-ordered copy
-            v = _accepted(_lapack_solve(_cramer(P).T, _eye(len(P._shifted))[-1]), P)
+            v = _accepted(_lapack_solve(P._D.T, _eye(len(P._D))[-1]), P)
         except (np.linalg.LinAlgError, InaccurateStationary):
             v = _accepted(_null_left(P), P)
         object.__setattr__(P, "_stationary", StationaryDistribution(_frozen(v)))  # v is new
@@ -282,7 +262,7 @@ def zd_feasibility_condition(P):
 def expected_scores(game, p, q):
     """Long-run average payoffs (v . omega) for both players."""
     _check_pair(p, q, game)
-    return _scores(game, stationary(_chain(p, q)).v)
+    return _scores(game, stationary(transition_matrix(p, q)).v)
 
 
 def _scores(game, v):

@@ -219,21 +219,37 @@ def make_strategy(player, rows, order="native"):
         raise ValueError("rows must be a 2-d array")
     n_rows, k = rows.shape
     n, m = _infer_dims(player, n_rows, k)
-    if not np.isfinite(rows).all():
-        raise ValueError("probabilities must be finite")
-    if (rows < -PROB_TOL).any():
-        raise ValueError("negative probability entry")
-    if (rows > 1.0 + PROB_TOL).any():
-        raise ValueError("probability entry exceeds 1")
-    sums = rows.sum(axis=1)
-    if (np.abs(sums - 1.0) > PROB_TOL).any():
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"row {worst} sums to {float(sums[worst])!r}, expected 1")
+    _stochastic(rows, PROB_TOL)  # rows is a copy of the input
     if player == "beta" and order == "native":
         # (beta_j, alpha_i)-major -> alpha-major is the block transpose
         rows = rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n_rows, k)
-    np.clip(rows, 0.0, 1.0, out=rows)  # rows is a copy of the input
     return MemoryOneStrategy(player, n, m, _frozen(rows))
+
+
+def _stochastic(rows, row_tol):
+    """``rows``, a new float array, checked as distributions and clipped into [0, 1] in place.
+
+    ValueError unless every entry passes the box test, :func:`_in_box`, and every row
+    sums to 1 within ``row_tol``; it names the first row with an entry outside the box,
+    else the row whose sum is farthest from 1.  Only a table with an entry < 0 or > 1
+    is clipped: np.clip leaves every other entry, -0.0 too, as it is.
+    """
+    lo, hi = float(rows.min()), float(rows.max())
+    if not (_in_box(lo) and _in_box(hi)):  # NaN fails it too
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an infinity
+            what, bad = "probabilities must be finite and in [0, 1]", ~np.isfinite(rows)
+        elif lo < -PROB_TOL:
+            what, bad = "negative probability entry", rows < -PROB_TOL
+        else:
+            what, bad = "probability entry exceeds 1", rows > 1.0 + PROB_TOL
+        raise ValueError(f"row {int(bad.any(axis=1).argmax())}: {what}")
+    sums = rows.sum(axis=1)
+    worst = int(np.abs(sums - 1.0).argmax())
+    if abs(float(sums[worst]) - 1.0) > row_tol:
+        raise ValueError(f"row {worst} sums to {float(sums[worst])!r}, expected 1")
+    if lo < 0.0 or hi > 1.0:
+        np.clip(rows, 0.0, 1.0, out=rows)
+    return rows
 
 
 def own_move_one_indicator(player, n, m):

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import _chain, _check_pair, _cramer, _lapack_solve, cofactor_row, expected_scores
+from .chain import _check_pair, _lapack_solve, cofactor_row, expected_scores, transition_matrix
 from .errors import DegenerateDenominator, NoFeasiblePin
 from .model import (
     PROB_TOL,
@@ -155,8 +155,7 @@ def press_dyson_determinant(p, q, f):
     if f.shape != (p.n * p.m,):
         raise ValueError(f"f must have length {p.n * p.m}, got shape {f.shape}")
     f, s = _scaled(f)
-    _check_pair(p, q)
-    return float(np.add.reduce(cofactor_row(_chain(p, q)).c * f)) * s
+    return float(np.add.reduce(cofactor_row(transition_matrix(p, q)).c * f)) * s
 
 
 def score_combination(game, p, q, coeffs):
@@ -176,12 +175,12 @@ def score_combination(game, p, q, coeffs):
         D(p, q, 1) = 0), or the solve finds D singular.
     """
     _check_pair(p, q, game)
-    P = _chain(p, q)
+    P = transition_matrix(p, q)
     if P._corank > 1:
         raise DegenerateDenominator(f"D(p, q, 1) vanishes: P - I has corank {P._corank}")
     f, s = _target(game, struct.pack("3d", coeffs.a, coeffs.b, coeffs.c))
     try:
-        return float(_lapack_solve(_cramer(P), f)[-1]) * s
+        return float(_lapack_solve(P._D, f)[-1]) * s
     except np.linalg.LinAlgError:
         raise DegenerateDenominator("D(p, q, 1) vanishes: D is singular") from None
 

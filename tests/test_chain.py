@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import pickle
+import re
 import types
 import warnings
 import weakref
@@ -879,3 +880,49 @@ class TestChainMemo:
                 score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
             with pytest.raises(InaccurateStationary):
                 expected_scores(near_game, near_p, near_q)
+
+    def test_pair_checks_pass_through_a_kept_chain(self, rng):
+        # the memo checks a pair on a miss; a failing pair raises today's message
+        # and leaves the kept chain in place
+        game, other_game = rand_game(rng, 2, 2), rand_game(rng, 3, 3)
+        p, q = rand_strategy(rng, "alpha", 2, 2), rand_strategy(rng, "beta", 2, 2)
+        wide = rand_strategy(rng, "beta", 2, 3)
+        coeffs, f = ZDCoefficients(1.0, -1.0, 0.0), np.ones(4)
+        order = "expected an alpha strategy followed by a beta strategy"
+        disagree = "strategy dimensions disagree: (2, 2) vs (2, 3)"
+        shape = "strategy dimensions do not match the game"
+        kept = transition_matrix(p, q)
+        calls = [
+            (order, lambda: transition_matrix(q, p)),
+            (order, lambda: expected_scores(game, q, p)),
+            (order, lambda: score_combination(game, q, p, coeffs)),
+            (order, lambda: press_dyson_determinant(q, p, f)),
+            (disagree, lambda: transition_matrix(p, wide)),
+            (disagree, lambda: expected_scores(game, p, wide)),
+            (disagree, lambda: score_combination(game, p, wide, coeffs)),
+            (disagree, lambda: press_dyson_determinant(p, wide, f)),
+            (shape, lambda: expected_scores(other_game, p, q)),
+            (shape, lambda: score_combination(other_game, p, q, coeffs)),
+        ]
+        for message, call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+            assert transition_matrix(p, q) is kept
+
+
+class TestCramerMatrix:
+    """D of D(p, q, 1) is made with the chain: P - I with a last column of ones."""
+
+    def test_D_is_the_shifted_matrix_with_a_last_column_of_ones(self, rng):
+        pair = transition_matrix(rand_strategy(rng, "alpha", 3, 2), rand_strategy(rng, "beta", 3, 2))
+        constructed = TransitionMatrix(pair.dims, pair.entries)
+        identities = [identity_chain(), TransitionMatrix((2, 2), np.eye(4))]
+        for P in [pair, constructed] + identities:
+            expected = P._shifted.copy()
+            expected[:, -1] = 1.0
+            assert P._D.shape == expected.shape
+            assert P._D.tobytes() == expected.tobytes()
+            assert not P._D.flags.writeable
+        for P in identities:
+            assert P._corank == 4
+            assert zd_feasibility_condition(P).holds is False

@@ -9,6 +9,7 @@ from zdgames import (
     FILL_RULES,
     SchemaError,
     StateIndex,
+    TransitionMatrix,
     chicken_family,
     complete_from_first_component,
     load_game,
@@ -18,6 +19,7 @@ from zdgames import (
     own_move_one_indicator,
     payoff_vectors,
 )
+from zdgames.model import _in_box
 
 
 class TestStateIndex:
@@ -226,6 +228,67 @@ class TestMakeStrategy:
     def test_unknown_order(self):
         with pytest.raises(ValueError):
             make_strategy("beta", np.full((4, 2), 0.5), order="beta-major")
+
+
+# an entry set to one of these: non-finite, a signed zero, the box's edges and just past them
+SPECIAL_ENTRIES = [None, np.nan, np.inf, -np.inf, -0.0, -1e-12, 1.0 + 1e-12,
+                   np.nextafter(-1e-12, -1.0), np.nextafter(1.0 + 1e-12, 2.0)]
+
+
+class TestStochasticRows:
+    """make_strategy and TransitionMatrix share one rule, restated here from the box test.
+
+    Rows are accepted exactly when every entry passes ``_in_box`` and every row sums
+    to 1 within the builder's tolerance; the kept rows are ``np.clip(rows, 0, 1)``.
+    """
+
+    BUILDERS = {
+        "make_strategy": (1e-12, lambda rows, n, m: make_strategy("alpha", rows, "alpha-major").rows),
+        "TransitionMatrix": (1e-10, lambda rows, n, m: TransitionMatrix((n, m), rows).entries),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @given(st.integers(2, 3), st.integers(2, 3), st.sampled_from(["pure", "dirichlet"]),
+           st.sampled_from([0.0, 2e-13, 2e-12]), st.sampled_from(SPECIAL_ENTRIES),
+           st.integers(0, 2**32 - 1))
+    def test_accepts_exactly_the_box_and_row_sum_rule(self, builder, n, m, base, spread,
+                                                      special, seed):
+        # perturbed by up to +-spread per entry; the special entry replaces a row's smallest,
+        # so a pure row keeps its sum
+        rng = np.random.default_rng(seed)
+        row_tol, build = self.BUILDERS[builder]
+        n_rows, k = (n * m, n) if builder == "make_strategy" else (n * m, n * m)
+        if base == "pure":
+            rows = np.eye(k)[rng.integers(k, size=n_rows)]
+        else:
+            rows = rng.dirichlet(np.ones(k), size=n_rows)
+        rows += rng.uniform(-spread, spread, size=rows.shape)
+        if special is not None:
+            row = rng.integers(n_rows)
+            rows[row, rows[row].argmin()] = special
+        before = rows.copy()
+        accepted = _in_box(rows).all() and (np.abs(rows.sum(axis=1) - 1.0) <= row_tol).all()
+        if accepted:
+            assert build(rows, n, m).tobytes() == np.clip(rows, 0.0, 1.0).tobytes()
+        else:
+            with pytest.raises(ValueError, match=r"^row \d+"):
+                build(rows, n, m)
+        assert rows.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "row 2: probabilities must be finite and in [0, 1]"),
+        (-0.5, "row 2: negative probability entry"),
+        (1.5, "row 2: probability entry exceeds 1"),
+        (0.5, "row 2 sums to 1.5, expected 1"),
+    ])
+    def test_messages_name_the_failing_row(self, bad, message):
+        for k, build in [(2, lambda rows: make_strategy("alpha", rows, "alpha-major")),
+                         (4, lambda rows: TransitionMatrix((2, 2), rows))]:
+            rows = np.full((4, k), 1.0 / k)
+            rows[2] = np.eye(k)[0]
+            rows[2, 1] = bad
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(rows)
 
 
 class TestOwnMoveIndicator:
