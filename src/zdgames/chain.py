@@ -73,7 +73,7 @@ def _factor(P, entries):
                    _svd=svd, _corank=corank, _stationary=None)
 
 
-@lru_cache(maxsize=None)  # one per chain size
+@lru_cache(maxsize=8)  # one per chain size, for the last few sizes
 def _eye(n):
     """The n x n identity, read-only; its last row is the stationary solve's right side."""
     return _frozen(np.eye(n))
@@ -266,6 +266,6 @@ def expected_scores(game, p, q):
 
 
 def _scores(game, v):
-    """Both players' average payoffs v . omega, as s * v . (omega / s): see ``_halved_payoffs``."""
-    (wa, sa), (wb, sb) = game._halved_payoffs
-    return ScorePair(float(v.dot(wa)) * sa, float(v.dot(wb)) * sb)
+    """Both players' average payoffs v . omega, as twice v . (omega / 2): see ``_halved_payoffs``."""
+    wa, wb = game._halved_payoffs
+    return ScorePair(float(v.dot(wa)) * 2.0, float(v.dot(wb)) * 2.0)

@@ -22,7 +22,6 @@ tie is nonzero: ``extortion_strategy`` is feasible at every theta <= theta_max.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,24 +103,22 @@ def _require_normalized(A):
 
 
 def _extortion_vectors(game):
-    """omega_alpha, sigma = 1 - 2*delta, u = omega_alpha - a_nn, w = omega_beta - a_nn, and s.
+    """omega_alpha, sigma = 1 - 2*delta, u = omega_alpha - a_nn and w = omega_beta - a_nn.
 
-    All but sigma are over the game's payoff scale s, ``BimatrixGame._halved_payoffs``.
+    All but sigma are halved, over ``BimatrixGame._halved_payoffs``, so none overflows.
     """
-    (wa, s), (wb, _) = game._halved_payoffs
+    wa, wb = game._halved_payoffs
     sigma = 1.0 - 2.0 * own_move_one_indicator("alpha", game.n, game.n)
-    return wa, sigma, wa - wa[-1], wb - wa[-1], s
+    return wa, sigma, wa - wa[-1], wb - wa[-1]
 
 
-def _brackets(u, w, lam, s):
-    """(E_ij/s', s') over s' = s, or 2s where u - lam*w overflows; ValueError if E_ij/s does."""
+def _brackets(u, w, lam):
+    """E_ij/2 = u - lam*w of halved u, w, taken as twice E_ij/4; ValueError if one overflows."""
     with np.errstate(over="ignore"):
-        g = u - lam * w
-        if not np.isfinite(g).all():
-            g, s = u / 2.0 - lam * (w / 2.0), 2.0 * s
-            if not np.isfinite(2.0 * g).all():
-                raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
-    return g, s
+        g = (u / 2.0 - lam * (w / 2.0)) * 2.0
+    if not np.isfinite(g).all():
+        raise ValueError(f"extortion factor {lam} overflows the brackets E_ij")
+    return g
 
 
 def _half_lines(wa, sigma, u, w):
@@ -145,13 +142,13 @@ def check_extortion_factor(game, lam):
     widened to end*(1 -+ 2*CONDITION_TOL), misses it.  theta_max is then
     :func:`zdgames.zd._feasible_scale` of sigma*g, so a bracket left with the
     wrong sign (a tie) moves its entry out of [0, 1] by PROB_TOL at most and
-    ``extortion_strategy`` is feasible at every theta <= theta_max.  g is taken
-    over the scale :func:`_brackets` returns; ValueError if a bracket E_ij/s overflows.
+    ``extortion_strategy`` is feasible at every theta <= theta_max.  g holds the halved
+    brackets of :func:`_brackets`; ValueError if some E_ij/2 overflows.
     """
     _check_factor(lam)
     _require_normalized(_require_symmetric(game))
-    wa, sigma, u, w, s = _extortion_vectors(game)
-    g, s = _brackets(u, w, lam, s)
+    wa, sigma, u, w = _extortion_vectors(game)
+    g = _brackets(u, w, lam)
     ends, lower, upper, failing = _half_lines(wa, sigma, u, w)
     with np.errstate(over="ignore"):  # an end at the float limit widens to inf
         failing |= lower & (lam < ends * (1.0 - 2.0 * CONDITION_TOL))
@@ -162,13 +159,13 @@ def check_extortion_factor(game, lam):
                      (divmod(k, game.n) for k in failing.nonzero()[0].tolist()))
     if violated:
         return ConditionReport(False, violated, 0.0)
-    return ConditionReport(True, (), _feasible_scale(sigma * g, s))  # sigma*g < 0 at a tie
+    return ConditionReport(True, (), _feasible_scale(sigma * g))  # sigma*g < 0 at a tie
 
 
 def extortion_factor_bounds(game):
     """Intersect the half-lines of :func:`_half_lines` with [1, inf)."""
     _require_normalized(_require_symmetric(game))
-    ends, lower, upper, dead = _half_lines(*_extortion_vectors(game)[:4])
+    ends, lower, upper, dead = _half_lines(*_extortion_vectors(game))
     lo = float(ends[lower].max(initial=1.0))
     hi = float(ends[upper].min(initial=math.inf)) + 0.0  # U = -0.0 ends at 0.0
     fits = max(1.0, lo * (1.0 - 2.0 * CONDITION_TOL)) <= hi * (1.0 + 2.0 * CONDITION_TOL)
@@ -184,10 +181,8 @@ def extortion_strategy(game, params):
     A tie keeps its sign: past theta_max its entry may be a violation.
     """
     _require_symmetric(game)
-    *_, u, w, s = _extortion_vectors(game)
-    g, s = _brackets(u, w, params.lam, s)
-    t = min(params.theta * s, sys.float_info.max)  # finite: a zero bracket keeps delta, not inf*0
-    return _synthesis("alpha", game, g, t)
+    *_, u, w = _extortion_vectors(game)
+    return _synthesis("alpha", game, _brackets(u, w, params.lam), params.theta)
 
 
 def theta_max(game, lam):
@@ -204,8 +199,8 @@ def theta_max(game, lam):
     Raises
     ------
     ValueError
-        If ``lam`` is not admissible for the game, or so large that a
-        bracket over the game's payoff scale s, E_ij/s, overflows.
+        If ``lam`` is not admissible for the game, or so large that some
+        halved bracket E_ij/2 overflows.
     """
     report = check_extortion_factor(game, lam)
     if not report.ok:

@@ -108,13 +108,12 @@ class BimatrixGame:
 
     @cached_property
     def _halved_payoffs(self):
-        """Each of :func:`payoff_vectors`' pair as (omega / s, s), s the game's payoff scale.
+        """:func:`payoff_vectors`' pair halved, read-only: every payoff combination's scale.
 
-        s = 2 if max|omega| >= 2^1023, where a difference or a running sum can overflow
-        though its result does not, else 1; halving is exact but on subnormals.
+        A difference or sum of two halves cannot overflow; halving is exact for every
+        magnitude >= 2^-1021, so a result taken over the halves and doubled keeps its bits.
         """
-        return tuple((_frozen(f / 2.0), 2.0) if float(np.abs(f).max()) >= 2.0**1023 else (f, 1.0)
-                     for f in self._payoffs)
+        return tuple(_frozen(f / 2.0) for f in self._payoffs)
 
 
 def make_game(A, B):

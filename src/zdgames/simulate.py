@@ -146,13 +146,12 @@ def play(game, p, q, config):
 
 def _ratio(report, game, where=""):
     """Empirical (pi_alpha - a_nn) / (pi_beta - a_nn), a_nn = ``game.A[-1, -1]``."""
-    s = max(scale for _, scale in game._halved_payoffs)  # both differences over the game's scale
-    a_nn = float(game.A[-1, -1]) / s
-    denominator = report.empirical_pi_beta / s - a_nn
-    if abs(denominator) * s < RATIO_TOL:
-        raise DegenerateRatio(f"{where}empirical pi_beta - a_nn = {denominator * s!r}; "
+    a_nn = float(game._halved_payoffs[0][-1])  # both differences over the halved payoffs
+    denominator = report.empirical_pi_beta / 2.0 - a_nn
+    if abs(denominator) * 2.0 < RATIO_TOL:
+        raise DegenerateRatio(f"{where}empirical pi_beta - a_nn = {denominator * 2.0!r}; "
                               "ratio undefined")
-    return (report.empirical_pi_alpha / s - a_nn) / denominator
+    return (report.empirical_pi_alpha / 2.0 - a_nn) / denominator
 
 
 def _tv_distance(report, v):

@@ -40,7 +40,6 @@ from .model import (
     _frozen,
     _in_box,
     own_move_one_indicator,
-    payoff_vectors,
 )
 
 
@@ -64,6 +63,12 @@ class ZDCoefficients:
     def combine(self, wa, wb):
         """The target vector a*omega_alpha + b*omega_beta + c; inf or NaN where it overflows."""
         return self.a * wa + self.b * wb + self.c
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _halved(self, game):
+        """Half the target, a*omega_alpha/2 + b*omega_beta/2 + c/2, over the halved payoffs."""
+        wa, wb = game._halved_payoffs
+        return self.a * wa + self.b * wb + self.c / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +104,10 @@ class SynthesisResult:
 
 
 def _synthesis(player, game, g, t=1.0):
-    """``player``'s first components delta + t*g, delta its own-move-1 indicator."""
+    """``player``'s first components delta + (t*g)*2, g halved, delta its own-move-1 indicator."""
     n, m = game.n, game.m
     with np.errstate(over="ignore"):  # an overflowing entry is reported as a violation
-        raw = own_move_one_indicator(player, n, m) + t * g
+        raw = own_move_one_indicator(player, n, m) + (t * g) * 2.0
     outside = ~_in_box(raw)
     violations = tuple(
         (StateIndex.from_flat(s, n, m), float(raw[s]))
@@ -114,28 +119,28 @@ def _synthesis(player, game, g, t=1.0):
     return SynthesisResult(player, n, m, _frozen(raw), feasible, violations)
 
 
-def _feasible_scale(inward, s):
-    """Largest t >= 0 whose delta + t*s*g passes the box test, :func:`model._in_box`.
+def _feasible_scale(inward):
+    """Largest t >= 0 whose :func:`_synthesis` delta + (t*g)*2 passes :func:`model._in_box`.
 
-    ``inward`` is (1 - 2*delta)*g, positive where the entry moves from delta into [0, 1] as
-    t grows: such an entry binds t at 1/(s*inward).  A negative entry (a tie) moves out of
-    [0, 1] and binds t at PROB_TOL/(s*|inward|), rounded down so that t*s*|inward| stays
-    within PROB_TOL.  Every smaller t >= 0 passes too when g is finite.  Returns ``math.inf``
-    when nothing binds.  1/s and PROB_TOL/s are exact, so a subnormal t is rounded once.
+    ``inward`` is (1 - 2*delta)*g, g halved, positive where the entry moves from delta into
+    [0, 1] as t grows: such an entry binds t at 0.5/inward.  A negative entry (a tie) binds
+    t at PROB_TOL/2/|inward|, rounded down so that 2*t*|inward| stays within PROB_TOL.  Every
+    smaller t >= 0 passes too when g is finite.  Returns ``math.inf`` when nothing binds.
+    0.5 and PROB_TOL/2 are exact, so a subnormal t is rounded once.
     """
     step, tie = float(inward.max(initial=0.0)), -float(inward.min(initial=0.0))
-    cap = PROB_TOL / s / tie if tie else math.inf
-    if cap * tie > PROB_TOL / s:
+    cap = PROB_TOL / 2.0 / tie if tie else math.inf
+    if cap * tie > PROB_TOL / 2.0:
         cap = math.nextafter(cap, 0.0)
-    return min(1.0 / s / step if step else math.inf, cap)
+    return min(0.5 / step if step else math.inf, cap)
 
 
 def _scaled(f):
     """(f / s, s), s the power of two with s <= max|f| < 2s; ValueError unless f is finite.
 
     Evaluating on f / s and multiplying by s keeps payoffs near the float limit from
-    overflowing; dividing by 2^k is exact.  Halving f, as ``_halved_payoffs`` does, is not
-    enough for :func:`_target`'s solve: on 13,703 float-limit pairs it gave inf or NaN on 1,034.
+    overflowing; dividing by 2^k is exact.  Halving f, as :func:`_target` does first, is not
+    enough for its solve: on 13,703 float-limit pairs it gave inf or NaN on 1,034.
     """
     size = float(np.abs(f).max())
     if not math.isfinite(size):
@@ -187,9 +192,9 @@ def score_combination(game, p, q, coeffs):
 
 @lru_cache(maxsize=1)  # the last game, by identity, and coefficients, by bits: 0.0 == -0.0
 def _target(game, bits):
-    """``_scaled`` target of the coefficients packed in ``bits`` on ``game``; f read-only."""
-    f, s = _scaled(ZDCoefficients(*struct.unpack("3d", bits)).combine(*payoff_vectors(game)))
-    return _frozen(f), s
+    """``_scaled`` half target of the coefficients in ``bits``, its scale doubled; f read-only."""
+    f, s = _scaled(ZDCoefficients(*struct.unpack("3d", bits))._halved(game))
+    return _frozen(f), 2.0 * s
 
 
 def synthesize_zd_alpha(game, coeffs):
@@ -198,12 +203,12 @@ def synthesize_zd_alpha(game, coeffs):
     ``p1[s(i,j)] = delta_{i,1} + a*a_ij + b*b_ji + c``.  Infeasibility is
     reported in the result, never raised.
     """
-    return _synthesis("alpha", game, coeffs.combine(*payoff_vectors(game)))
+    return _synthesis("alpha", game, coeffs._halved(game))
 
 
 def synthesize_zd_beta(game, coeffs):
     """Beta's counterpart: ``q1[s(i,j)] = delta_{j,1} + a*a_ij + b*b_ji + c``."""
-    return _synthesis("beta", game, coeffs.combine(*payoff_vectors(game)))
+    return _synthesis("beta", game, coeffs._halved(game))
 
 
 def pin_opponent_score(game, pinner, target):
@@ -214,32 +219,30 @@ def pin_opponent_score(game, pinner, target):
     g = omega_opponent - target.  w > 0 needs (1 - 2*delta)*g >= 0 in every
     state and w < 0 needs it <= 0, each up to PROB_TOL * max|g|; |w| is the
     largest power of two up to min(16, :func:`_feasible_scale`) with |w*target| < 2^1023,
-    which keeps c finite and exact and the synthesis feasible; g is over the payoff scale s.
+    which keeps c finite and exact and the synthesis feasible.  g is kept halved, so finite.
 
     Raises
     ------
     NoFeasiblePin
         When (1 - 2*delta)*g takes both signs, i.e. the target lies outside
-        the window the pinner can enforce, or when g, over the game's scale, overflows.
+        the window the pinner can enforce.
     """
     if not math.isfinite(target):
         raise ValueError("target score must be finite")
     delta = own_move_one_indicator(pinner, game.n, game.m)
-    w, s = game._halved_payoffs[pinner == "alpha"]
-    with np.errstate(over="ignore"):  # an infinite g pins nothing: t_max is 0 below
-        g = w - target / s
+    g = game._halved_payoffs[pinner == "alpha"] - target / 2.0
     inward = (1.0 - 2.0 * delta) * g
     tol = PROB_TOL * np.abs(g).max(initial=0.0)
     sign = 1.0 if (inward >= -tol).all() else -1.0
-    t_max = min(16.0, _feasible_scale(sign * inward, s))
-    if not (sign * inward >= -tol).all() or t_max == 0.0:
+    if not (sign * inward >= -tol).all():
         raise NoFeasiblePin(
             f"no feasible pin of the opponent's score at {target!r}: "
             "it lies outside the window the pinner can enforce"
         )
+    t_max = min(16.0, _feasible_scale(sign * inward))
     weight = sign * math.ldexp(0.5, min(math.frexp(t_max)[1], 1024 - math.frexp(target)[1]))
     a, b = (0.0, weight) if pinner == "alpha" else (weight, 0.0)
-    return _synthesis(pinner, game, g, weight * s), ZDCoefficients(a, b, -weight * target)
+    return _synthesis(pinner, game, g, weight), ZDCoefficients(a, b, -weight * target)
 
 
 def _check_factor(lam):

@@ -910,6 +910,20 @@ class TestChainMemo:
             assert transition_matrix(p, q) is kept
 
 
+class TestIdentityCache:
+    def test_identities_kept_are_bounded(self):
+        # one read-only identity per chain size, for the last few sizes only
+        chain_module._eye.cache_clear()
+        for k in range(2, 22):  # 20 chain sizes, 4..42
+            size = 2 * k
+            P = TransitionMatrix((2, k), np.full((size, size), 1.0 / size))
+            assert np.allclose(stationary(P).v, 1.0 / size, rtol=0, atol=1e-15)
+        info = chain_module._eye.cache_info()
+        assert info.currsize == info.maxsize == 8
+        assert not chain_module._eye(42).flags.writeable
+        assert chain_module._eye.cache_info().hits == info.hits + 1
+
+
 class TestCramerMatrix:
     """D of D(p, q, 1) is made with the chain: P - I with a last column of ones."""
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 import warnings
@@ -258,14 +259,18 @@ class TestExtort:
         assert main(["extort", chicken_path, "--lambda", "2", "--theta", "0.5"]) == 1
         assert "exceeds theta_max" in capsys.readouterr().out
 
-    def test_overflowing_factor_exits_3(self, chicken_path, capsys):
+    def test_overflowing_factor_exits_3(self, pd_path, chicken_path, capsys):
+        # PD's E_12/2 = -1/2 - 2*lam overflows; chicken's halved brackets
+        # stay finite and give the verdict
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["extort", chicken_path, "--lambda", "1.7e308", "--theta-max"])
+            code = main(["extort", pd_path, "--lambda", "1.7e308", "--theta-max"])
+            assert main(["extort", chicken_path, "--lambda", "1.7e308", "--theta-max"]) == 1
         assert code == 3
         assert not caught
-        err = capsys.readouterr().err
-        assert "overflows" in err and "RuntimeWarning" not in err
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and "RuntimeWarning" not in captured.err
+        assert "last-row (2,1)" in captured.out
 
     def test_payoffs_near_the_float_limit(self, tmp_path, capsys):
         # a_21 - a_22 overflows, yet the brackets over the game's payoff scale are
@@ -293,6 +298,16 @@ class TestExtort:
         )
         assert done.returncode == 0, done.stderr
         assert "admissible factors: [1.0, 3.0" in done.stdout
+
+    def test_module_as_main_exits_with_the_status(self, chicken_path, monkeypatch, capsys):
+        # the same entry point in this process: main's status becomes the exit status
+        monkeypatch.delitem(sys.modules, "zdgames.cli")  # run afresh, as -m does
+        monkeypatch.setattr(sys, "argv", ["zdgames", "extort", chicken_path,
+                                          "--lambda", "4", "--theta", "0.1"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("zdgames.cli", run_name="__main__")
+        assert exited.value.code == 1
+        assert "last-row (2,1)" in capsys.readouterr().out
 
     def test_lambda_required(self, chicken_path, capsys):
         assert main(["extort", chicken_path]) == 3
@@ -520,16 +535,20 @@ class TestScan:
         (row,) = read_rows(out)
         assert (row["feasible"], row["max_residual"]) == ("True", "")
 
-    def test_overflowing_factor_exits_3(self, tmp_path, chicken_path, capsys):
+    def test_overflowing_factor_exits_3(self, tmp_path, pd_path, chicken_path, capsys):
+        # PD's halved bracket E_12/2 overflows; chicken's stay finite and give a False row
         out = tmp_path / "scan.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["scan", chicken_path, "--lambda-grid", "2,1.7e308", "--out", str(out)])
+            code = main(["scan", pd_path, "--lambda-grid", "2,1.7e308", "--out", str(out)])
+            assert not out.exists()
+            assert main(["scan", chicken_path, "--lambda-grid", "2,1.7e308",
+                         "--out", str(out)]) == 0
         assert code == 3
         assert not caught
         err = capsys.readouterr().err
         assert "overflows" in err and "RuntimeWarning" not in err
-        assert not out.exists()
+        assert [row["lambda_ok"] for row in read_rows(out)] == ["True", "False"]
 
     def test_generous_grid_rejected(self, tmp_path, chicken_path, capsys):
         out = str(tmp_path / "scan.csv")

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zdgames import (
+    ConditionReport,
     ExtortionParams,
     FactorBounds,
     NonUniqueStationary,
@@ -116,12 +119,20 @@ class TestCheckFactor:
 
     @pytest.mark.parametrize("game", [chicken_family(0.5), PD])
     def test_overflowing_factor_rejected(self, game):
-        # u - lam*w overflows to -inf, which no tolerance may read as admissible
-        for check in (check_extortion_factor, theta_max):
+        # PD's E_12/2 overflows to -inf, which no tolerance may read as admissible;
+        # chicken's halved brackets stay finite and miss the last-row half-line
+        if game is PD:
+            for check in (check_extortion_factor, theta_max):
+                with pytest.raises(ValueError, match="overflows"):
+                    check(game, 1.7e308)
             with pytest.raises(ValueError, match="overflows"):
-                check(game, 1.7e308)
-        with pytest.raises(ValueError, match="overflows"):
-            extortion_strategy(game, ExtortionParams(1.7e308, 0.1))
+                extortion_strategy(game, ExtortionParams(1.7e308, 0.1))
+        else:
+            assert check_extortion_factor(game, 1.7e308) == \
+                ConditionReport(False, (("last-row", 2, 1),), 0.0)
+            with pytest.raises(ValueError, match="not admissible"):
+                theta_max(game, 1.7e308)
+            assert not extortion_strategy(game, ExtortionParams(1.7e308, 0.1)).feasible
 
     def test_end_at_the_float_limit(self):
         # the (2,1) half-line ends at the largest float; widening it must not warn
@@ -447,16 +458,58 @@ def test_theta_max_at_the_float_limit_keeps_a_tie_inside_the_box():
 
 
 def test_vectors_below_the_float_limit_keep_their_bits():
-    # only a game with max|A| >= 2^1023 is halved: below it u and w are
-    # omega - a_nn itself, to the last bit of a subnormal entry
-    A = np.array([[1.0, 1e-310], [8e307, 5e-324]])
-    game = make_symmetric(A)
-    first, _, u, w, s = extortion_module._extortion_vectors(game)
-    wa, wb = payoff_vectors(game)
-    assert s == 1.0 and first.tobytes() == wa.tobytes()
-    assert u.tobytes() == (wa - A[-1, -1]).tobytes()
-    assert w.tobytes() == (wb - A[-1, -1]).tobytes()
-    assert extortion_module._extortion_vectors(make_symmetric(np.ldexp(A, 1)))[-1] == 2.0
+    # u and w are always halved: doubled they give omega - a_nn to the last bit
+    # where no nonzero payoff lies below 2^-1021, even at the float limit, and
+    # a payoff below it may lose its last bit: 5e-324 halves to 0.0
+    for A in ([[1.0, 1e-300], [8e307, -3.0]], [[1.5e308, -1e307], [1e308, 2e307]]):
+        A = np.array(A)
+        first, _, u, w = extortion_module._extortion_vectors(make_symmetric(A))
+        wa, wb = payoff_vectors(make_symmetric(A))
+        assert first.tobytes() == (wa / 2.0).tobytes()
+        assert (2.0 * u).tobytes() == (wa - A[-1, -1]).tobytes()
+        assert (2.0 * w).tobytes() == (wb - A[-1, -1]).tobytes()
+    first, _, u, _ = extortion_module._extortion_vectors(
+        make_symmetric([[1.0, 1e-310], [8e307, 5e-324]]))
+    assert first[-1] == 0.0 and u[-1] == 0.0
+
+
+@st.composite
+def float_limit_factors(draw):
+    """A symmetric 2x2 or 3x3 game with a_11 >= a_nn and payoffs up to the largest float,
+    and a factor from 1 up to the largest float."""
+    n = draw(st.integers(2, 3))
+    near_limit = st.builds(math.ldexp, st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+                           st.integers(1000, 1023))
+    payoff = st.one_of(st.floats(-sys.float_info.max, sys.float_info.max),
+                       st.floats(-1e3, 1e3), near_limit)
+    A = np.array(draw(st.lists(payoff, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if A[0, 0] < A[-1, -1]:
+        A[0, 0], A[-1, -1] = A[-1, -1], A[0, 0]
+    lam = draw(st.one_of(st.floats(1.0, sys.float_info.max), st.floats(1.0, 16.0),
+                         st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                                   st.integers(0, 1023))))
+    return A, lam
+
+
+@given(float_limit_factors())
+@example((np.array([[3.0, 0.0], [5.0, 1.0]]), 1.7e308))  # PD: E_12/2 = -1/2 - 2*lam
+@example((np.array([[1.0, 0.5], [1.5, 0.0]]), 1.7e308))  # chicken: every E_ij/2 is finite
+@example((np.array([[1.0, 0.5], [1e308, -1e308]]), 2.0))  # E_12/2 = -1.5e308
+@example((np.array([[1.0, 0.5], [1e308, -1e308]]), 2.5))  # E_12/2 = -2e308
+def test_a_factor_raises_exactly_where_a_halved_bracket_overflows(problem):
+    # against exact brackets E_ij/2 = ((a_ij - a_nn) - lam*(a_ji - a_nn))/2: a raise
+    # past the largest float by more than a few ulps, a verdict that far inside it
+    A, lam = problem
+    a = [[Fraction(x) for x in row] for row in A.tolist()]
+    last = a[-1][-1]
+    top = max(abs((a[i][j] - last) - Fraction(lam) * (a[j][i] - last)) / 2
+              for i in range(len(a)) for j in range(len(a)))
+    limit, margin = Fraction(sys.float_info.max), Fraction(8, 2**52)
+    if top > limit * (1 + margin):
+        with pytest.raises(ValueError, match="overflows the brackets"):
+            check_extortion_factor(make_symmetric(A), lam)
+    elif top < limit * (1 - margin):
+        check_extortion_factor(make_symmetric(A), lam)
 
 
 class TestChickenExtortion:
@@ -560,9 +613,15 @@ class TestN2Conditions:
 
     @pytest.mark.parametrize("game", [chicken_family(0.5), PD])
     def test_overflowing_factor_rejected(self, game):
-        # a ValueError rather than a warning and a verdict
-        with pytest.raises(ValueError, match=r"factor 1\.7e\+308 overflows"):
-            check_extortion_factor(game, 1.7e308)
+        # a ValueError rather than a warning and a verdict where E_ij/2 overflows,
+        # as on PD; chicken's halved brackets stay finite and give the oracle's verdict
+        if game is PD:
+            with pytest.raises(ValueError, match=r"factor 1\.7e\+308 overflows"):
+                check_extortion_factor(game, 1.7e308)
+        else:
+            assert check_extortion_factor(game, 1.7e308).ok is False
+            with np.errstate(over="ignore"):  # the oracle's E_12 is -inf: still <= 0
+                assert not n2_admissible(game, 1.7e308)
 
     def test_largest_factors_keep_the_verdict(self):
         # at 1e308 chicken's brackets stay finite and give the oracle's

@@ -173,6 +173,23 @@ class TestScoreCombination:
         with pytest.raises(DegenerateDenominator):
             score_combination(chicken_family(0.5), p, q, ZDCoefficients(1, 0, 0))
 
+    def test_singular_solve_raises_and_keeps_the_chain(self, rng, monkeypatch):
+        # a corank-1 chain whose Cramer solve still fails: the LinAlgError becomes
+        # DegenerateDenominator, and the pair's kept chain is returned again
+        game = rand_game(rng, 2, 2)
+        p, q = rand_strategy(rng, "alpha", 2, 2), rand_strategy(rng, "beta", 2, 2)
+        kept = transition_matrix(p, q)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(zd_module, "_lapack_solve", singular)
+        with pytest.raises(DegenerateDenominator,
+                           match=r"^D\(p, q, 1\) vanishes: D is singular$") as raised:
+            score_combination(game, p, q, ZDCoefficients(1.0, 0.0, 0.0))
+        assert raised.value.__suppress_context__
+        assert transition_matrix(p, q) is kept
+
     def test_unique_10x10_mixed_pure_chain(self):
         # |D(p, q, 1)| = 0.0068 is far below 1e-12 of the matrix's Hadamard
         # bound (1.6e10), yet v is unique and the ratio is right to round-off
@@ -367,9 +384,20 @@ class TestSynthesis:
         assert verify_linear_relation(game, scaled.complete(), q, half).holds
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e308])
+    def test_target_is_taken_over_the_halved_payoffs(self, scale):
+        # 2*omega and -2*omega overflow at 1e308, their halves do not: the
+        # target a*omega_alpha + b*omega_beta + c is 0 at every payoff scale
+        game = make_symmetric(np.full((2, 2), scale))
+        coeffs = ZDCoefficients(2.0, -2.0, 0.0)
+        for synthesize, player in ((synthesize_zd_alpha, "alpha"), (synthesize_zd_beta, "beta")):
+            result = synthesize(game, coeffs)
+            assert result.feasible
+            assert result.p1.tolist() == own_move_one_indicator(player, 2, 2).tolist()
+
     def test_nan_entry_is_a_violation(self):
         # delta = (1, 1, 0, 0), so p1 = (0.5, nan, 1, 0)
-        result = _synthesis("alpha", PD, np.array([-0.5, math.nan, 1.0, 0.0]))
+        result = _synthesis("alpha", PD, np.array([-0.5, math.nan, 1.0, 0.0]) / 2)
         assert not result.feasible
         assert [state.flat for state, _ in result.violations] == [1]
         assert math.isnan(result.violations[0][1])
@@ -385,7 +413,7 @@ class TestSynthesis:
         p1 = np.where(rng.random(n * m) < 0.5, edges, rng.random(n * m))
         delta = own_move_one_indicator(player, n, m)
         g = p1 - delta
-        result = _synthesis(player, make_game(np.zeros((n, m)), np.zeros((m, n))), g)
+        result = _synthesis(player, make_game(np.zeros((n, m)), np.zeros((m, n))), g / 2)
         assert result.feasible
         for fill_rule in FILL_RULES:
             strategy = result.complete(fill_rule)
